@@ -152,14 +152,7 @@ ServiceBlame build_service_blame(const svc::ServiceReport& report,
           record.algorithm, job.num_nodes, job.elements, options);
       if (candidate.feasible) {
         const double iterations = static_cast<double>(job.iterations);
-        reconfig =
-            (options.policy == net::ReconfigPolicy::kOverlapped
-                 ? static_cast<double>(candidate.rounds) *
-                           options.mrr_reconfig_delay.count() -
-                       candidate.overlap_hidden.count()
-                 : static_cast<double>(candidate.reconfig_charges) *
-                       options.mrr_reconfig_delay.count()) *
-            iterations;
+        reconfig = candidate.charged_reconfig.count() * iterations;
         conversion = static_cast<double>(candidate.rounds) *
                      options.oeo_delay.count() * iterations;
         if (reconfig + conversion > service) {

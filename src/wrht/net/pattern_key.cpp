@@ -1,28 +1,16 @@
 #include "wrht/net/pattern_key.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstddef>
-#include <vector>
 
 namespace wrht::net {
 
 namespace {
 
-/// Steps with at most this many transfers hash from a stack buffer; the
-/// signature is called once per step on every execute(), so avoiding the
-/// heap allocation matters for schedules with millions of small steps.
-constexpr std::size_t kSmallStep = 64;
-
-std::uint64_t hash_keys(std::uint64_t* keys, std::size_t n) {
-  std::sort(keys, keys + n);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = keys[i];
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (k >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+/// One FNV-1a round over the eight bytes of `key`.
+std::uint64_t mix(std::uint64_t h, std::uint64_t key) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (key >> (8 * byte)) & 0xffu;
+    h *= 1099511628211ull;
   }
   return h;
 }
@@ -39,23 +27,13 @@ std::uint64_t transfer_key(const coll::Transfer& t, bool include_direction) {
 }  // namespace
 
 std::uint64_t step_signature(const coll::Step& step, bool include_direction) {
-  const std::size_t n = step.transfers.size() + 1;
-  std::array<std::uint64_t, kSmallStep + 1> small;
-  std::vector<std::uint64_t> spill;
-  std::uint64_t* keys = small.data();
-  if (n > small.size()) {
-    spill.resize(n);
-    keys = spill.data();
-  }
-
+  std::uint64_t h = 1469598103934665603ull;
   std::size_t max_count = 0;
-  std::size_t i = 0;
   for (const auto& t : step.transfers) {
-    keys[i++] = transfer_key(t, include_direction);
+    h = mix(h, transfer_key(t, include_direction));
     max_count = std::max(max_count, t.count);
   }
-  keys[i++] = 0x8000'0000'0000'0000ull | max_count;
-  return hash_keys(keys, i);
+  return mix(h, 0x8000'0000'0000'0000ull | max_count);
 }
 
 }  // namespace wrht::net

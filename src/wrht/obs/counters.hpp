@@ -10,20 +10,17 @@
 // Thread-safe: every method takes an internal mutex, so concurrent
 // simulator runs (exp::SweepRunner workers, the process-wide
 // bench::metrics() registry) may share one instance. Each counter
-// remembers whether it accumulates (add), high-watermarks
-// (observe_max), or holds a distribution (observe), and merge() honours
-// that: additive counters sum, watermark counters take the max,
-// histogram counts add elementwise — merging per-run registries is
-// equivalent to having observed one combined run.
+// remembers whether it accumulates (add) or high-watermarks
+// (observe_max), and merge() honours that: additive counters sum,
+// watermark counters take the max — merging per-run registries is
+// equivalent to having observed one combined run. Distributions live in
+// obs::MetricsRegistry (obs/metrics.hpp).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
-
-#include "wrht/obs/metrics.hpp"
 
 namespace wrht::obs {
 
@@ -40,20 +37,9 @@ class Counters {
   /// e.g. the peak wavelength count or link load across a run).
   void observe_max(const std::string& name, std::uint64_t value);
 
-  /// Records one observation into the histogram behind `name`, creating
-  /// it with `spec` on first use. Sweep workers use this for latency
-  /// distributions; the spec must match on every call (and across merged
-  /// registries) or the call throws InvalidArgument.
-  void observe(const std::string& name, double value, HistogramSpec spec = {});
-
-  /// Current value; absent counters read as zero, histogram entries read
-  /// as their observation count.
+  /// Current value; absent counters read as zero.
   [[nodiscard]] std::uint64_t value(const std::string& name) const;
 
-  /// Copy of the distribution behind a histogram entry, or nullopt for
-  /// absent / non-histogram names.
-  [[nodiscard]] std::optional<Histogram> distribution(
-      const std::string& name) const;
   [[nodiscard]] bool contains(const std::string& name) const;
   [[nodiscard]] std::size_t size() const;
 
@@ -62,22 +48,19 @@ class Counters {
   [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const;
 
   /// Folds `other` into this registry: additive counters sum, watermark
-  /// counters take the max, histograms merge elementwise (specs must
-  /// match).
+  /// counters take the max.
   void merge(const Counters& other);
 
   void clear();
 
-  /// Writes `counter,value` rows (header included) to `path`; histogram
-  /// entries report their observation count.
+  /// Writes `counter,value` rows (header included) to `path`.
   void write_csv(const std::string& path) const;
 
  private:
-  enum class Kind : std::uint8_t { kAdd, kMax, kHist };
+  enum class Kind : std::uint8_t { kAdd, kMax };
   struct Entry {
     std::uint64_t value = 0;
     Kind kind = Kind::kAdd;
-    std::optional<Histogram> hist;  // engaged iff kind == kHist
   };
 
   mutable std::mutex mutex_;

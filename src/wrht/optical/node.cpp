@@ -8,24 +8,23 @@
 
 namespace wrht::optics {
 
-TuningState TuningState::from_lightpaths(const std::vector<Lightpath>& paths,
-                                         const NodeHardware& hardware) {
+TuningState TuningState::from_lightpaths(const std::vector<Lightpath>& paths) {
   TuningState state;
-  // Per (node, direction) MRR usage for the capacity check.
+  for (const Lightpath& p : paths) {
+    state.tunings_.insert(
+        Tuning{p.src, p.direction, p.fiber, p.wavelength, true});
+    state.tunings_.insert(
+        Tuning{p.dst, p.direction, p.fiber, p.wavelength, false});
+  }
+  return state;
+}
+
+void TuningState::check_capacity(const NodeHardware& hardware) const {
+  // Per (node, direction) MRR usage.
   std::map<std::pair<topo::NodeId, topo::Direction>, std::uint64_t> tx_load;
   std::map<std::pair<topo::NodeId, topo::Direction>, std::uint64_t> rx_load;
-
-  for (const Lightpath& p : paths) {
-    const bool tx_inserted =
-        state.tunings_
-            .insert(Tuning{p.src, p.direction, p.fiber, p.wavelength, true})
-            .second;
-    const bool rx_inserted =
-        state.tunings_
-            .insert(Tuning{p.dst, p.direction, p.fiber, p.wavelength, false})
-            .second;
-    if (tx_inserted) ++tx_load[{p.src, p.direction}];
-    if (rx_inserted) ++rx_load[{p.dst, p.direction}];
+  for (const Tuning& t : tunings_) {
+    ++(t.tx ? tx_load : rx_load)[{t.node, t.direction}];
   }
 
   for (const auto& [key, load] : tx_load) {
@@ -44,7 +43,6 @@ TuningState TuningState::from_lightpaths(const std::vector<Lightpath>& paths,
           std::to_string(hardware.rx_capacity()));
     }
   }
-  return state;
 }
 
 std::size_t TuningState::retune_count(const TuningState& next) const {

@@ -49,10 +49,12 @@ class TuningState {
  public:
   TuningState() = default;
 
-  /// Derives the tuning set of a round's lightpaths. Throws
-  /// InfeasibleSchedule when any node exceeds its MRR capacity.
-  static TuningState from_lightpaths(const std::vector<Lightpath>& paths,
-                                     const NodeHardware& hardware);
+  /// Derives the tuning set of a round's lightpaths.
+  static TuningState from_lightpaths(const std::vector<Lightpath>& paths);
+
+  /// Throws InfeasibleSchedule when any node needs more transmit or
+  /// receive MRRs in one direction than `hardware` provides.
+  void check_capacity(const NodeHardware& hardware) const;
 
   [[nodiscard]] const std::set<Tuning>& tunings() const { return tunings_; }
   [[nodiscard]] std::size_t size() const { return tunings_.size(); }

@@ -5,12 +5,16 @@
 //   * every step's transfers are routed and wavelength-assigned (RWA);
 //   * a step that needs more wavelengths than the fiber carries is split
 //     into sequential conflict-free rounds;
-//   * each round costs the MRR reconfiguration delay + O/E/O conversion +
-//     serialization of its largest transfer (circuit switching: all
-//     lightpaths of a round progress concurrently at full lane rate).
+//   * each round costs (reconfiguration + O/E/O conversion) + serialization
+//     of its largest transfer (circuit switching: all lightpaths of a round
+//     progress concurrently at full lane rate). net::RoundPricer applies
+//     the configured net::ReconfigPolicy to the reconfiguration share.
 // Steps are driven through the discrete-event kernel; identical step
 // patterns (e.g. the 2(N-1) structurally equal Ring All-reduce steps) hit a
-// pattern cache so large runs stay fast.
+// pattern cache so large runs stay fast. A cache entry holds the
+// policy-independent facts of one step (optics::price_pattern plus each
+// round's MRR tuning), so observed and unobserved runs share entries and
+// price identically.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,7 @@
 #include "wrht/net/resource_lease.hpp"
 #include "wrht/obs/run_report.hpp"
 #include "wrht/obs/trace.hpp"
+#include "wrht/optical/lane_rounds.hpp"
 #include "wrht/optical/node.hpp"
 #include "wrht/optical/rwa.hpp"
 #include "wrht/topo/ring.hpp"
@@ -64,8 +69,9 @@ struct OpticalConfig {
   /// sequentially — and byte-identical results at any worker count.
   unsigned rwa_threads = 0;
 
-  /// Per-node MRR hardware; every round's lightpaths are checked against
-  /// the transmit/receive MRR capacity per direction.
+  /// Per-node MRR hardware; with validate_node_capacity every round's
+  /// lightpaths are checked against the transmit/receive MRR capacity per
+  /// direction.
   NodeHardware node_hardware{};
   bool validate_node_capacity = true;
 
@@ -78,15 +84,18 @@ struct OpticalConfig {
   ///   kOverlapped - round k+1's retune proceeds during round k's
   ///                 transmission; only the residual delay is charged
   ///                 (bench_ablation_overlap).
-  /// The alias keeps the historical OpticalConfig::ReconfigAccounting
-  /// spelling working, mirroring the RateConvention unification.
-  using ReconfigAccounting = net::ReconfigPolicy;
   net::ReconfigPolicy reconfig_policy = net::ReconfigPolicy::kEveryRound;
 
   /// Effective serialization rate in bytes per second.
   [[nodiscard]] double bytes_per_second() const {
     return net::effective_bytes_per_second(wavelength_rate.count(),
                                            convention);
+  }
+
+  /// Serialization time of a transfer of `elements` elements.
+  [[nodiscard]] Seconds serialization_time(std::size_t elements) const {
+    return Seconds(static_cast<double>(elements) * bytes_per_element /
+                   bytes_per_second());
   }
 
   // Fluent builders so call sites can assemble a config in one expression
@@ -162,14 +171,6 @@ struct OpticalConfig {
     reconfig_policy = v;
     return *this;
   }
-  /// Deprecated alias of with_reconfig_policy(), kept for one release so
-  /// pre-unification call sites compile (ReconfigAccounting is now an
-  /// alias of net::ReconfigPolicy, so the old enumerators still resolve).
-  [[deprecated("use with_reconfig_policy")]] OpticalConfig&
-  with_reconfig_accounting(ReconfigAccounting v) {
-    reconfig_policy = v;
-    return *this;
-  }
 };
 
 struct StepCost {
@@ -235,9 +236,6 @@ class RingNetwork {
   /// reconfiguration + O/E/O + serialization (Eq. 6 per-step term).
   [[nodiscard]] Seconds round_time(std::size_t elements) const;
 
-  /// Serialization-only time of a round's largest transfer.
-  [[nodiscard]] Seconds serialization_time(std::size_t elements) const;
-
   /// Closed-form Eq. (6) estimate assuming every step fits in one round:
   /// sum over steps of (a + max_payload/B). execute() returns exactly this
   /// whenever no step splits (asserted by the consistency tests).
@@ -245,53 +243,26 @@ class RingNetwork {
       const coll::Schedule& schedule) const;
 
  private:
-  /// One (direction, fiber, wavelength) channel's use within a round,
-  /// aggregated over the lightpaths sharing it on disjoint ring segments.
-  struct RoundUse {
-    std::uint8_t direction = 0;  ///< 0 = clockwise, 1 = counter-clockwise
-    std::uint32_t fiber = 0;
-    std::uint32_t wavelength = 0;
-    /// Longest serialization among the sharers (the channel transmits
-    /// until its slowest lightpath finishes).
-    Seconds serialization{0.0};
-    std::uint32_t concurrency = 0;  ///< lightpaths sharing the channel
+  /// The pattern cache's entry for one step: what price_pattern reports
+  /// plus each round's MRR tuning, for the retune walk.
+  struct CachedPattern {
+    PricedPattern priced;
+    std::vector<TuningState> tunings;
   };
 
-  /// One transfer's routing assignment within a round, for the blame
-  /// TransferLog. `index` points into the step's transfers (the pattern
-  /// cache is keyed by the full transfer list, so indices stay valid
-  /// across cache hits).
-  struct TransferRoute {
-    std::uint32_t index = 0;
-    std::uint8_t direction = 0;
-    std::uint32_t wavelength = 0;
-  };
+  /// Builds the cache entry for `step` from its RWA rounds; runs the MRR
+  /// capacity check when validate_node_capacity is set.
+  [[nodiscard]] CachedPattern make_pattern(const coll::Step& step,
+                                           const RoundsResult& rwa) const;
 
-  struct PatternCost {
-    StepCost cost;
-    std::uint32_t longest_hops = 0;
-    /// Per-round serialization and tuning, for retune-aware accounting.
-    std::vector<Seconds> round_serialization;
-    std::vector<TuningState> round_tunings;
-    /// Per-round wavelength high-water marks, for round trace spans.
-    std::vector<std::uint32_t> round_wavelengths;
-    /// Per-round channel uses (sorted by direction/fiber/wavelength), for
-    /// occupancy sampling and the wavelengths-in-use counter track.
-    std::vector<std::vector<RoundUse>> round_uses;
-    /// Per-round transfer routes; filled only for blame-observed runs
-    /// (probe.transfers attached), empty otherwise.
-    std::vector<std::vector<TransferRoute>> round_transfers;
-  };
+  /// RWA for one step (multi-round or single-round as configured).
+  [[nodiscard]] CachedPattern evaluate_step(const coll::Step& step,
+                                            Rng* rng) const;
 
-  [[nodiscard]] PatternCost evaluate_step(const coll::Step& step,
-                                          Rng* rng) const;
-
-  /// Pure pricing arithmetic turning one step's RWA rounds into a
-  /// PatternCost; shared by the sequential path and the parallel pre-pass.
-  [[nodiscard]] PatternCost price_rounds(
-      const coll::Step& step, std::uint32_t wavelengths_used,
-      const std::vector<std::vector<Lightpath>>& round_paths,
-      const std::vector<std::vector<std::size_t>>& round_members) const;
+  /// The step's entry: a cache hit, or a fresh evaluation (cached under
+  /// first-fit; held in `uncached` otherwise and for empty steps).
+  const CachedPattern& pattern_for(const coll::Step& step, Rng* rng,
+                                   CachedPattern& uncached) const;
 
   /// First-fit only: batch-solves the schedule's distinct uncached step
   /// patterns with assign_rounds_batch and fills pattern_cache_, so the
@@ -302,13 +273,7 @@ class RingNetwork {
 
   topo::Ring ring_;
   OpticalConfig config_;
-  mutable std::unordered_map<std::uint64_t, PatternCost> pattern_cache_;
-  /// Set while a blame-observed execute() runs: price_rounds then also
-  /// fills round_tunings (for the retune-flag walk under any policy) and
-  /// round_transfers. Cache entries priced without enrichment are
-  /// re-evaluated on hit — first-fit RWA is deterministic, so the enriched
-  /// entry prices identically and simply replaces the lean one.
-  mutable bool enrich_blame_ = false;
+  mutable std::unordered_map<std::uint64_t, CachedPattern> pattern_cache_;
 };
 
 }  // namespace wrht::optics

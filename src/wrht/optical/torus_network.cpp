@@ -3,49 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "wrht/common/error.hpp"
-#include "wrht/obs/occupancy.hpp"
-#include "wrht/obs/transfer_log.hpp"
+#include "wrht/optical/lane_rounds.hpp"
 #include "wrht/optical/rwa.hpp"
 
 namespace wrht::optics {
-
-namespace {
-
-/// One WDM channel's aggregated use within a round of one embedded ring.
-struct ChannelUse {
-  std::uint8_t direction = 0;
-  std::uint32_t fiber = 0;
-  std::uint32_t wavelength = 0;
-  Seconds serialization{0.0};
-  std::uint32_t concurrency = 0;
-};
-
-/// Occupancy timeline of one embedded ring within one step, buffered until
-/// the step's slowest ring (and hence the straggler horizon) is known.
-struct RingTimeline {
-  std::string prefix;  ///< "row3" / "col0"
-  std::vector<Seconds> round_durations;
-  /// MRR delay each round actually paid (== the full delay except under
-  /// kOverlapped, where only the residual lands on the timeline).
-  std::vector<Seconds> round_reconfig;
-  std::vector<std::vector<ChannelUse>> round_uses;
-};
-
-std::string torus_channel_name(const std::string& prefix,
-                               const ChannelUse& use,
-                               std::uint32_t num_fibers) {
-  std::string name = prefix;
-  name += use.direction == 0 ? "/cw" : "/ccw";
-  if (num_fibers > 1) name += "/f" + std::to_string(use.fiber);
-  name += "/w" + std::to_string(use.wavelength);
-  return name;
-}
-
-}  // namespace
 
 TorusNetwork::TorusNetwork(const topo::Torus& torus, OpticalConfig config)
     : torus_(torus),
@@ -74,24 +38,16 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
   result.steps = schedule.num_steps();
   result.step_costs.reserve(schedule.num_steps());
 
-  const bool overlapped =
-      config_.reconfig_policy == net::ReconfigPolicy::kOverlapped;
-  const bool blame = probe.transfers != nullptr;
-  if (blame) {
-    obs::TransferLog::Context context;
-    context.backend = "optical-torus";
-    context.reconfig_policy = net::to_string(config_.reconfig_policy);
-    context.mrr_reconfig_delay = config_.mrr_reconfig_delay;
-    context.oeo_delay = config_.oeo_delay;
-    probe.transfers->set_context(std::move(context));
-  }
-  double now = 0.0;
+  open_transfer_log(probe, "optical-torus", config_);
+  const bool observed =
+      probe.occupancy != nullptr || probe.transfers != nullptr;
+  Seconds now(0.0);
   std::size_t step_index = 0;
   // kOverlapped: window the first round of a step can hide its retune in.
   // Steps are barriers, so every ring's retune for step k proceeds during
   // step k-1's transmissions; later rounds of a ring overlap their own
   // previous round. Step 0 has nothing to overlap with.
-  double step_window = 0.0;
+  Seconds step_window(0.0);
   for (const auto& step : schedule.steps()) {
     // Partition the step's transfers onto their row/column rings,
     // remapping node ids to ring-local positions.
@@ -144,211 +100,85 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
       }
     }
 
+    // Price every ring as one lane; a step lasts as long as its slowest
+    // ring. Lanes are buffered so their records can be emitted once the
+    // step's end is known.
+    struct Lane {
+      std::string name;  // "row3" / "col0"; set only when observed
+      PricedPattern pattern;
+      std::vector<net::RoundPricer::Round> rounds;
+    };
+    std::vector<Lane> lanes;
+    lanes.reserve(shares.size());
     StepCost cost;
-    cost.start = Seconds(now);
+    cost.start = now;
     std::uint32_t max_rounds = 0;
-    std::uint32_t max_paid_rounds = 0;
-    double slowest = 0.0;
-    double slowest_serial = 0.0;  // every-round pricing, for overlap_hidden
-    std::vector<RingTimeline> timelines;  // filled only when sampling
+    std::uint64_t max_charges = 0;
+    Seconds slowest(0.0);
+    Seconds slowest_serial(0.0);  // every-round pricing, for overlap_hidden
     std::size_t share_index = 0;
     for (const auto& [key, share] : shares) {
-      const RoundsResult& rounds = ring_rounds[share_index++];
-      RingTimeline timeline;
-      std::string lane;
-      if (probe.occupancy != nullptr || blame) {
-        lane = (key.first ? "row" : "col") + std::to_string(key.second);
-      }
-      if (probe.occupancy != nullptr) timeline.prefix = lane;
-      double ring_time = 0.0;
-      double ring_time_serial = 0.0;
-      double window = step_window;  // per-ring overlap window (kOverlapped)
-      std::uint32_t paid_rounds = 0;
-      for (std::size_t r = 0; r < rounds.rounds.size(); ++r) {
-        std::size_t max_elements = 0;
-        for (const std::size_t idx : rounds.rounds[r]) {
-          max_elements =
-              std::max(max_elements, share.transfers[idx].count);
-        }
-        const double busy = config_.oeo_delay.count() +
-                            static_cast<double>(max_elements) *
-                                config_.bytes_per_element /
-                                config_.bytes_per_second();
-        const double full = config_.mrr_reconfig_delay.count();
-        const double reconfig =
-            overlapped ? std::max(0.0, full - window) : full;
-        const double round_time = reconfig + busy;
-        if (reconfig > 0.0) ++paid_rounds;
-        window = busy;
-        if (blame) {
-          const Seconds round_start = cost.start + Seconds(ring_time);
-          const double ser_max = static_cast<double>(max_elements) *
-                                 config_.bytes_per_element /
-                                 config_.bytes_per_second();
-          obs::RoundTrace round;
-          round.step = static_cast<std::uint32_t>(step_index);
-          round.lane = lane;
-          round.round = static_cast<std::uint32_t>(r);
-          round.start = round_start;
-          round.reconfig = Seconds(reconfig);
-          round.full_reconfig = config_.mrr_reconfig_delay;
-          round.conversion = config_.oeo_delay;
-          round.serialization = Seconds(ser_max);
-          round.duration = Seconds(round_time);
-          // The torus control plane retunes every round (it prices
-          // kOnRetune like kEveryRound), so every round reports retune.
-          round.retune = true;
-          probe.transfers->round(std::move(round));
-
-          const Seconds payload_start =
-              round_start + Seconds(reconfig) + config_.oeo_delay;
-          for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
-            const Lightpath& p = rounds.paths[r][j];
-            const std::size_t local_idx = rounds.rounds[r][j];
-            const coll::Transfer& original =
-                step.transfers[share.source[local_idx]];
-            obs::TransferTrace trace;
-            trace.step = static_cast<std::uint32_t>(step_index);
-            trace.lane = lane;
-            trace.round = static_cast<std::uint32_t>(r);
-            trace.src = original.src;
-            trace.dst = original.dst;
-            trace.elements = original.count;
-            trace.wavelength = p.wavelength;
-            trace.direction = static_cast<std::uint8_t>(
-                p.direction == topo::Direction::kClockwise ? 0 : 1);
-            trace.start = payload_start;
-            trace.duration =
-                Seconds(static_cast<double>(original.count) *
-                        config_.bytes_per_element /
-                        config_.bytes_per_second());
-            probe.transfers->transfer(std::move(trace));
-          }
-        }
-        ring_time += round_time;
-        ring_time_serial += full + busy;
-        cost.max_transfer_elements =
-            std::max(cost.max_transfer_elements, max_elements);
-        if (probe.occupancy != nullptr) {
-          // Aggregate the round's lightpaths per channel (spatial reuse
-          // shares one wavelength over disjoint segments); std::map keys
-          // keep the use list deterministically ordered.
-          std::map<std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>,
-                   ChannelUse>
-              uses;
-          for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
-            const Lightpath& p = rounds.paths[r][j];
-            const auto dir = static_cast<std::uint8_t>(
-                p.direction == topo::Direction::kClockwise ? 0 : 1);
-            ChannelUse& use = uses[{dir, p.fiber, p.wavelength}];
-            use.direction = dir;
-            use.fiber = p.fiber;
-            use.wavelength = p.wavelength;
-            const double ser =
-                static_cast<double>(
-                    share.transfers[rounds.rounds[r][j]].count) *
-                config_.bytes_per_element / config_.bytes_per_second();
-            use.serialization = std::max(use.serialization, Seconds(ser));
-            ++use.concurrency;
-          }
-          timeline.round_durations.emplace_back(round_time);
-          timeline.round_reconfig.emplace_back(reconfig);
-          timeline.round_uses.emplace_back();
-          for (auto& [k, use] : uses) {
-            timeline.round_uses.back().push_back(use);
-          }
+      Lane& lane = lanes.emplace_back();
+      lane.pattern =
+          price_pattern(share.transfers, ring_rounds[share_index++], config_);
+      // Point the ring-local routes back at the step's transfers.
+      for (PricedRound& round : lane.pattern.rounds) {
+        for (TransferRoute& route : round.routes) {
+          route.index = static_cast<std::uint32_t>(share.source[route.index]);
         }
       }
-      for (const auto& round : rounds.paths) {
-        for (const Lightpath& p : round) {
-          result.longest_lightpath_hops =
-              std::max(result.longest_lightpath_hops, p.hops);
-        }
+      if (observed) {
+        lane.name = (key.first ? "row" : "col") + std::to_string(key.second);
       }
+      // The torus control plane retunes every round, so kOnRetune prices
+      // like kEveryRound here.
+      net::RoundPricer pricer(config_.reconfig_policy,
+                              config_.mrr_reconfig_delay, config_.oeo_delay);
+      pricer.set_window(step_window);
+      Seconds lane_time(0.0);
+      for (const PricedRound& round : lane.pattern.rounds) {
+        lane.rounds.push_back(pricer.price(round.serialization));
+        lane_time += lane.rounds.back().duration;
+      }
+      result.longest_lightpath_hops =
+          std::max(result.longest_lightpath_hops, lane.pattern.longest_hops);
       cost.wavelengths_used =
-          std::max(cost.wavelengths_used, rounds.wavelengths_used);
+          std::max(cost.wavelengths_used, lane.pattern.wavelengths_used);
+      cost.max_transfer_elements = std::max(
+          cost.max_transfer_elements, lane.pattern.max_transfer_elements);
       max_rounds = std::max(
-          max_rounds, static_cast<std::uint32_t>(rounds.rounds.size()));
-      max_paid_rounds = std::max(max_paid_rounds, paid_rounds);
-      slowest = std::max(slowest, ring_time);
-      slowest_serial = std::max(slowest_serial, ring_time_serial);
-      if (probe.occupancy != nullptr) {
-        timelines.push_back(std::move(timeline));
-      }
+          max_rounds, static_cast<std::uint32_t>(lane.rounds.size()));
+      // Critical-path reconfiguration charges: under kOverlapped only
+      // rounds whose residual survived the overlap window count.
+      max_charges = std::max(max_charges, pricer.charges());
+      slowest = std::max(slowest, lane_time);
+      slowest_serial = std::max(slowest_serial, lane_time + pricer.hidden());
     }
 
-    // Replay each ring's buffered timeline now that the step's end (the
-    // slowest ring) is known: rounds decompose into reconfiguration,
-    // O/E/O, transmission and in-round straggler wait; a ring finishing
-    // early holds its channels in straggler-wait until the step ends.
-    if (probe.occupancy != nullptr) {
-      const Seconds step_end = cost.start + Seconds(slowest);
-      const auto step_id = static_cast<std::uint32_t>(step_index);
-      for (const RingTimeline& timeline : timelines) {
-        Seconds cursor = cost.start;
-        std::vector<obs::OccupancySampler::ResourceRef> used;
-        for (std::size_t r = 0; r < timeline.round_durations.size(); ++r) {
-          const Seconds round_end = cursor + timeline.round_durations[r];
-          for (const ChannelUse& use : timeline.round_uses[r]) {
-            const auto ref = probe.occupancy->resource(torus_channel_name(
-                timeline.prefix, use, config_.fibers_per_direction));
-            Seconds at = cursor;
-            // Under kOverlapped only the residual is charged here; the
-            // hidden portion happened during the previous round's (or
-            // step's) transmissions.
-            probe.occupancy->record(ref, step_id, at,
-                                    timeline.round_reconfig[r],
-                                    obs::OccCategory::kReconfiguration);
-            at += timeline.round_reconfig[r];
-            probe.occupancy->record(ref, step_id, at, config_.oeo_delay,
-                                    obs::OccCategory::kConversion);
-            at += config_.oeo_delay;
-            probe.occupancy->record(ref, step_id, at, use.serialization,
-                                    obs::OccCategory::kTransmission,
-                                    use.concurrency);
-            at += use.serialization;
-            probe.occupancy->record(ref, step_id, at, round_end - at,
-                                    obs::OccCategory::kStragglerWait);
-            if (std::find(used.begin(), used.end(), ref) == used.end()) {
-              used.push_back(ref);
-            }
-          }
-          cursor = round_end;
-        }
-        for (const auto ref : used) {
-          probe.occupancy->record(ref, step_id, cursor, step_end - cursor,
-                                  obs::OccCategory::kStragglerWait);
-        }
-      }
+    const auto step_id = static_cast<std::uint32_t>(step_index);
+    for (const Lane& lane : lanes) {
+      emit_lane_rounds(probe, config_,
+                       LaneSlot{step_id, lane.name, lane.name, cost.start,
+                                cost.start + slowest},
+                       lane.pattern, lane.rounds, step.transfers);
     }
 
     cost.label = step.label;
     cost.rounds = max_rounds;
-    cost.duration = Seconds(slowest);
-    if (blame && !step.transfers.empty()) {
-      obs::StepTrace step_trace;
-      step_trace.step = static_cast<std::uint32_t>(step_index);
-      step_trace.label = step.label.empty()
-                             ? "step " + std::to_string(step_index)
-                             : step.label;
-      step_trace.start = cost.start;
-      step_trace.duration = cost.duration;
-      probe.transfers->step(std::move(step_trace));
-    }
+    cost.duration = slowest;
+    emit_step_trace(probe, step_id, step, cost);
     result.total_rounds += max_rounds;
-    // Critical-path reconfiguration charges: under kOverlapped only rounds
-    // whose residual survived the overlap window count, and the hidden
-    // time is the step's serial-vs-overlapped delta on the slowest ring.
-    result.reconfigurations += overlapped ? max_paid_rounds : max_rounds;
-    result.overlap_hidden += Seconds(slowest_serial - slowest);
+    result.reconfigurations += max_charges;
+    // The hidden time is the step's serial-vs-overlapped delta on the
+    // slowest ring.
+    result.overlap_hidden += slowest_serial - slowest;
     result.max_wavelengths_used =
         std::max(result.max_wavelengths_used, cost.wavelengths_used);
     result.step_costs.push_back(cost);
 
     probe.count("optical.steps");
     probe.count("optical.rounds", max_rounds);
-    probe.count("optical.reconfig_charges",
-                overlapped ? max_paid_rounds : max_rounds);
+    probe.count("optical.reconfig_charges", max_charges);
     if (max_rounds > 1) probe.count("optical.multi_round_steps");
     probe.count_max("optical.max_wavelengths_used", cost.wavelengths_used);
     if (probe.trace != nullptr) {
@@ -369,7 +199,7 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
     step_window = slowest;
     ++step_index;
   }
-  result.total_time = Seconds(now);
+  result.total_time = now;
   if (probe.trace != nullptr && result.total_rounds > 0) {
     probe.counter_sample("wavelengths in use", result.total_time, 0.0);
   }

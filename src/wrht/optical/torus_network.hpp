@@ -3,7 +3,8 @@
 // Every row and every column of the torus is a WDM optical ring with its
 // own fibers and wavelength budget (the natural generalisation of the
 // TeraRack ring). A communication step may use many rows/columns at once;
-// each ring prices its share exactly like RingNetwork (RWA + rounds) and
+// each ring is one lane priced through the same path as RingNetwork (RWA,
+// optics::price_pattern, net::RoundPricer, optics::emit_lane_rounds) and
 // the step lasts as long as the slowest ring. Transfers that are neither
 // row-local nor column-local are rejected — torus schedules route
 // dimension by dimension, as the paper's §6.1 sketch does.

@@ -19,41 +19,22 @@ struct RoundModel {
   bool retunes = true;
 };
 
-struct PricedRounds {
-  double time = 0.0;
-  std::uint64_t charges = 0;
-  double hidden = 0.0;
-};
-
-/// The exact per-round arithmetic RingNetwork performs, over modelled
-/// rounds instead of RWA output: every round costs reconfiguration (as the
-/// policy dictates) + O/E/O + serialization, and under kOverlapped the
-/// retune hides inside the previous round's O/E/O + serialization window.
-PricedRounds price_rounds(const std::vector<RoundModel>& rounds,
-                          const PlannerOptions& options) {
-  const double a = options.mrr_reconfig_delay.count();
-  const double oeo = options.oeo_delay.count();
-  PricedRounds out;
-  double window = 0.0;  // kOverlapped: zero before round 0
+/// Prices modelled rounds through the engines' own net::RoundPricer and
+/// fills the candidate's time, round and reconfiguration fields.
+void price_rounds(const std::vector<RoundModel>& rounds,
+                  const PlannerOptions& options, Candidate& c) {
+  net::RoundPricer pricer(options.policy, options.mrr_reconfig_delay,
+                          options.oeo_delay);
+  Seconds time(0.0);
   for (const RoundModel& round : rounds) {
-    double reconfig = 0.0;
-    switch (options.policy) {
-      case net::ReconfigPolicy::kEveryRound:
-        reconfig = a;
-        break;
-      case net::ReconfigPolicy::kOnRetune:
-        reconfig = round.retunes ? a : 0.0;
-        break;
-      case net::ReconfigPolicy::kOverlapped:
-        reconfig = std::max(0.0, a - window);
-        out.hidden += a - reconfig;
-        break;
-    }
-    if (reconfig > 0.0) ++out.charges;
-    out.time += reconfig + oeo + round.serialization;
-    window = oeo + round.serialization;
+    time += pricer.price(Seconds(round.serialization), round.retunes).duration;
   }
-  return out;
+  c.feasible = true;
+  c.predicted_time = time;
+  c.rounds = rounds.size();
+  c.reconfig_charges = pricer.charges();
+  c.overlap_hidden = pricer.hidden();
+  c.charged_reconfig = pricer.charged_reconfig();
 }
 
 /// ceil(d/N) elements — the largest chunk, which governs every
@@ -87,13 +68,8 @@ Candidate predict_wrht(std::uint32_t num_nodes, std::size_t elements,
                      options.bytes_per_element / options.bytes_per_second();
   const std::vector<RoundModel> rounds(wrht.steps.total_steps,
                                        RoundModel{ser, true});
-  const PricedRounds priced = price_rounds(rounds, options);
-  c.feasible = true;
-  c.predicted_time = Seconds(priced.time);
+  price_rounds(rounds, options, c);
   c.steps = wrht.steps.total_steps;
-  c.rounds = wrht.steps.total_steps;
-  c.reconfig_charges = priced.charges;
-  c.overlap_hidden = Seconds(priced.hidden);
   return c;
 }
 
@@ -113,13 +89,8 @@ Candidate predict_static_ring(std::uint32_t num_nodes, std::size_t elements,
   std::vector<RoundModel> rounds(2ull * (num_nodes - 1),
                                  RoundModel{ser, false});
   rounds.front().retunes = true;
-  const PricedRounds priced = price_rounds(rounds, options);
-  c.feasible = true;
-  c.predicted_time = Seconds(priced.time);
+  price_rounds(rounds, options, c);
   c.steps = rounds.size();
-  c.rounds = rounds.size();
-  c.reconfig_charges = priced.charges;
-  c.overlap_hidden = Seconds(priced.hidden);
   return c;
 }
 
@@ -138,13 +109,8 @@ Candidate predict_flat_a2a(std::uint32_t num_nodes, std::size_t elements,
                      options.bytes_per_element / options.bytes_per_second();
   std::vector<RoundModel> rounds(2 * rounds_per_step, RoundModel{ser, true});
   if (rounds_per_step == 1) rounds.back().retunes = false;
-  const PricedRounds priced = price_rounds(rounds, options);
-  c.feasible = true;
-  c.predicted_time = Seconds(priced.time);
+  price_rounds(rounds, options, c);
   c.steps = 2;
-  c.rounds = rounds.size();
-  c.reconfig_charges = priced.charges;
-  c.overlap_hidden = Seconds(priced.hidden);
   return c;
 }
 

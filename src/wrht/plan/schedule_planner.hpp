@@ -9,8 +9,9 @@
 // w) AND on how reconfiguration is charged (net::ReconfigPolicy).
 //
 // plan_allreduce() prices all three candidates with closed-form models —
-// the same per-round arithmetic the optical ring engine performs, O(steps)
-// instead of a simulation — picks the fastest, and builds its schedule.
+// modelled rounds fed through the optical engines' own net::RoundPricer,
+// O(steps) instead of a simulation — picks the fastest, and builds its
+// schedule.
 // bench_ablation_overlap sweeps the frontier; test_plan checks the
 // predictions against the simulator differentially.
 #pragma once
@@ -82,6 +83,9 @@ struct Candidate {
   std::uint64_t reconfig_charges = 0;
   /// Reconfiguration time hidden behind transmissions (kOverlapped only).
   Seconds overlap_hidden{0.0};
+  /// Reconfiguration time on the critical path
+  /// (net::RoundPricer::charged_reconfig()).
+  Seconds charged_reconfig{0.0};
 };
 
 struct PlanResult {

@@ -20,6 +20,7 @@
 
 #include "wrht/common/units.hpp"
 #include "wrht/obs/counters.hpp"
+#include "wrht/obs/metrics.hpp"
 #include "wrht/plan/schedule_planner.hpp"
 #include "wrht/sim/simulator.hpp"
 #include "wrht/svc/job.hpp"

@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "wrht/common/error.hpp"
-
 namespace wrht::obs {
 namespace {
 
@@ -130,67 +128,6 @@ TEST(CountersThreaded, MergePreservesKindsAcrossRegistries) {
   c.merge(b);
   EXPECT_EQ(c.value("adds"), 17u);
   EXPECT_EQ(c.value("maxes"), 7u);
-}
-
-TEST(CountersThreaded, ConcurrentObserveBuildsOneCombinedDistribution) {
-  // Sweep workers recording latency samples into one shared histogram
-  // entry: the final distribution must hold every observation, as if one
-  // thread had observed them all.
-  Counters counters;
-  std::vector<std::thread> pool;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&counters, t] {
-      for (std::uint64_t i = 0; i < kIterations; ++i) {
-        // Spread observations over several decades so many buckets fill.
-        counters.observe("latency_s",
-                         1e-5 * static_cast<double>(t * kIterations + i + 1));
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-
-  EXPECT_EQ(counters.value("latency_s"), kThreads * kIterations);
-  const auto dist = counters.distribution("latency_s");
-  ASSERT_TRUE(dist.has_value());
-  EXPECT_EQ(dist->count(), kThreads * kIterations);
-  EXPECT_GT(dist->quantile(0.99), dist->quantile(0.5));
-}
-
-TEST(CountersThreaded, ConcurrentHistogramMergesMatchOneCombinedRun) {
-  Counters shared;
-  std::vector<std::thread> pool;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&shared] {
-      for (std::uint64_t i = 0; i < 100; ++i) {
-        Counters local;
-        local.observe("jct_s", 0.01 * static_cast<double>(i + 1));
-        local.add("runs");
-        shared.merge(local);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-
-  EXPECT_EQ(shared.value("runs"), kThreads * 100);
-  const auto dist = shared.distribution("jct_s");
-  ASSERT_TRUE(dist.has_value());
-  EXPECT_EQ(dist->count(), kThreads * 100);
-}
-
-TEST(CountersThreaded, HistogramEntriesRejectScalarAccess) {
-  Counters counters;
-  counters.observe("hist", 1.0);
-  EXPECT_THROW(counters.observe("hist", 1.0, HistogramSpec{1e-3, 4.0, 8}),
-               Error);  // spec must match on every call
-  counters.add("adds", 1);
-  EXPECT_THROW(counters.observe("adds", 1.0), Error);
-
-  Counters other;
-  other.add("hist", 1);  // scalar under the histogram's name
-  EXPECT_THROW(counters.merge(other), Error);
-  // distribution() on non-histograms answers nullopt, not a throw.
-  EXPECT_FALSE(counters.distribution("adds").has_value());
-  EXPECT_FALSE(counters.distribution("absent").has_value());
 }
 
 TEST(CountersThreaded, SelfMergeIsANoOp) {

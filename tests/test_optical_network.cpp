@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <utility>
+
 #include "wrht/collectives/btree_allreduce.hpp"
 #include "wrht/collectives/hring_allreduce.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
@@ -138,6 +141,43 @@ TEST(RingNetwork, PatternCacheDoesNotChangeResults) {
   const auto b = net.execute(sched);
   EXPECT_DOUBLE_EQ(a.total_time.count(), b.total_time.count());
   EXPECT_EQ(a.max_wavelengths_used, b.max_wavelengths_used);
+}
+
+// First-fit RWA assigns wavelengths in transfer order, so the same pairs
+// in another order are a different pattern: B must not be served from A's
+// cache entry (it needs 4 wavelengths priced fresh, A's entry says 3).
+TEST(RingNetwork, PatternCacheKeysOnTransferOrder) {
+  using Pair = std::pair<coll::NodeId, coll::NodeId>;
+  const auto add_step = [](coll::Schedule& sched,
+                           std::initializer_list<Pair> pairs) {
+    coll::Step& step = sched.add_step();
+    for (const auto& [src, dst] : pairs) {
+      coll::Transfer t;
+      t.src = src;
+      t.dst = dst;
+      t.count = 5;
+      t.direction = topo::Direction::kClockwise;
+      step.transfers.push_back(t);
+    }
+  };
+  const std::initializer_list<Pair> a = {{6, 10}, {5, 8}, {9, 1},
+                                         {8, 10}, {3, 7}, {2, 6}};
+  const std::initializer_list<Pair> b = {{8, 10}, {2, 6}, {9, 1},
+                                         {3, 7}, {6, 10}, {5, 8}};
+  coll::Schedule both("order", 12, 5);
+  add_step(both, a);
+  add_step(both, b);
+  coll::Schedule only_b("order", 12, 5);
+  add_step(only_b, b);
+
+  const RingNetwork net(12, OpticalConfig{}.with_wavelengths(64));
+  const auto cached = net.execute(both);
+  const auto fresh =
+      RingNetwork(12, OpticalConfig{}.with_wavelengths(64)).execute(only_b);
+  EXPECT_EQ(fresh.step_costs[0].wavelengths_used, 4u);
+  EXPECT_EQ(cached.step_costs[1].wavelengths_used,
+            fresh.step_costs[0].wavelengths_used);
+  EXPECT_EQ(cached.step_costs[1].duration, fresh.step_costs[0].duration);
 }
 
 TEST(RingNetwork, EventKernelDrivesSteps) {

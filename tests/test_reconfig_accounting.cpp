@@ -3,6 +3,7 @@
 #include "wrht/collectives/btree_allreduce.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/obs/transfer_log.hpp"
 #include "wrht/optical/ring_network.hpp"
 
 namespace wrht::optics {
@@ -99,6 +100,49 @@ TEST(ReconfigAccounting, CapacityCheckCanBeDisabled) {
   const RingNetwork net(16, cfg);
   const auto sched = core::wrht_allreduce(16, 8, core::WrhtOptions{8, 64});
   EXPECT_NO_THROW(net.execute(sched));
+}
+
+// The capacity flag governs every path that builds MRR tunings: an
+// observed run (TransferLog attached) and kOnRetune pricing must honour it
+// exactly like the plain every-round run.
+TEST(ReconfigAccounting, CapacityFlagHoldsUnderObservationAndRetune) {
+  // Node 0 sends to 1..200 clockwise: 200 transmit MRRs on one direction,
+  // beyond the default 2 x 64.
+  coll::Schedule sched("fan-out", 300, 8);
+  coll::Step& step = sched.add_step();
+  for (coll::NodeId dst = 1; dst <= 200; ++dst) {
+    coll::Transfer t;
+    t.dst = dst;
+    t.count = 8;
+    t.direction = topo::Direction::kClockwise;
+    step.transfers.push_back(t);
+  }
+  for (const bool validate : {false, true}) {
+    OpticalConfig cfg;
+    cfg.wavelengths = 256;
+    cfg.validate_node_capacity = validate;
+    OpticalConfig retune = cfg;
+    retune.reconfig_policy = net::ReconfigPolicy::kOnRetune;
+    obs::TransferLog log;
+    obs::Probe probe;
+    probe.transfers = &log;
+    const auto plain = [&] { return RingNetwork(300, cfg).execute(sched); };
+    const auto observed = [&] {
+      return RingNetwork(300, cfg).execute(sched, probe);
+    };
+    const auto retuned = [&] {
+      return RingNetwork(300, retune).execute(sched);
+    };
+    if (validate) {
+      EXPECT_THROW((void)plain(), InfeasibleSchedule);
+      EXPECT_THROW((void)observed(), InfeasibleSchedule);
+      EXPECT_THROW((void)retuned(), InfeasibleSchedule);
+    } else {
+      const Seconds expected = plain().total_time;
+      EXPECT_EQ(observed().total_time, expected);
+      EXPECT_EQ(retuned().total_time, expected);
+    }
+  }
 }
 
 }  // namespace
