@@ -4,7 +4,8 @@
 # checked-in reference at the repo root. The ablation CSVs named by the
 # `bench_csv_regression` ctest pin retune-aware pricing
 # (ablation_reconfig), overlapped pricing (ablation_overlap) and channel
-# occupancy (ablation_utilization).
+# occupancy (ablation_utilization); `bench_fig6_regression` runs Fig. 6
+# (fig6_scaling) at its full N <= 4096 grid.
 #
 # Usage: scripts/check_bench_csv.sh <bench-binary-dir> <name>...
 #   (bench_<name> writes <name>.csv)

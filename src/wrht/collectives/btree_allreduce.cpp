@@ -19,11 +19,19 @@ Schedule btree_allreduce(std::uint32_t num_nodes, std::size_t elements) {
   require(num_nodes >= 2, "btree_allreduce: need at least 2 nodes");
   Schedule sched("btree", num_nodes, elements);
   const std::uint32_t levels = ceil_log2(num_nodes);
+  sched.reserve_steps(btree_allreduce_steps(num_nodes));
+  // Level s pairs every multiple p of 2^s with p + 2^(s-1) < num_nodes.
+  auto level_transfers = [&](std::uint32_t s) {
+    const std::uint64_t stride = 1ull << s;
+    const std::uint64_t half = stride / 2;
+    return static_cast<std::size_t>((num_nodes - half + stride - 1) / stride);
+  };
 
   // Reduce: at level s, node p + 2^(s-1) folds its partial into node p for
   // every p that is a multiple of 2^s.
   for (std::uint32_t s = 1; s <= levels; ++s) {
     Step& step = sched.add_step("reduce level " + std::to_string(s));
+    step.transfers.reserve(level_transfers(s));
     const std::uint64_t stride = 1ull << s;
     const std::uint64_t half = 1ull << (s - 1);
     for (std::uint64_t p = 0; p < num_nodes; p += stride) {
@@ -38,6 +46,7 @@ Schedule btree_allreduce(std::uint32_t num_nodes, std::size_t elements) {
   // Broadcast: reverse of the reduce stage.
   for (std::uint32_t s = levels; s >= 1; --s) {
     Step& step = sched.add_step("broadcast level " + std::to_string(s));
+    step.transfers.reserve(level_transfers(s));
     const std::uint64_t stride = 1ull << s;
     const std::uint64_t half = 1ull << (s - 1);
     for (std::uint64_t p = 0; p < num_nodes; p += stride) {

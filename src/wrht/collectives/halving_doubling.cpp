@@ -34,9 +34,11 @@ Schedule halving_doubling_allreduce(std::uint32_t num_nodes,
   const std::uint32_t p2 = std::bit_floor(num_nodes);
   const std::uint32_t r = num_nodes - p2;
   const std::uint32_t levels = std::bit_width(p2) - 1;
+  sched.reserve_steps(halving_doubling_steps(num_nodes));
 
   if (r > 0) {
     Step& step = sched.add_step("pre-fold");
+    step.transfers.reserve(r);
     for (std::uint32_t i = 1; i < 2 * r; i += 2) {
       step.transfers.push_back(Transfer{i, i - 1, 0, elements,
                                         TransferKind::kReduce, std::nullopt});
@@ -55,6 +57,7 @@ Schedule halving_doubling_allreduce(std::uint32_t num_nodes,
   for (std::uint32_t s = 0; s < levels; ++s) {
     const std::uint32_t mask = p2 >> (s + 1);  // MSB first
     Step& step = sched.add_step("halving 2^" + std::to_string(levels - s - 1));
+    step.transfers.reserve(p2);
     for (std::uint32_t rank = 0; rank < p2; ++rank) {
       const std::uint32_t partner = rank ^ mask;
       auto& [first, count] = own[rank];
@@ -80,6 +83,7 @@ Schedule halving_doubling_allreduce(std::uint32_t num_nodes,
     const std::uint32_t mask = p2 >> (s + 1);
     Step& step = sched.add_step("doubling 2^" +
                                 std::to_string(levels - s - 1));
+    step.transfers.reserve(p2);
     for (std::uint32_t rank = 0; rank < p2; ++rank) {
       const std::uint32_t partner = rank ^ mask;
       auto& [first, count] = own[rank];
@@ -98,6 +102,7 @@ Schedule halving_doubling_allreduce(std::uint32_t num_nodes,
 
   if (r > 0) {
     Step& step = sched.add_step("post-copy");
+    step.transfers.reserve(r);
     for (std::uint32_t i = 1; i < 2 * r; i += 2) {
       step.transfers.push_back(
           Transfer{i - 1, i, 0, elements, TransferKind::kCopy, std::nullopt});

@@ -21,11 +21,13 @@ Schedule recursive_doubling_allreduce(std::uint32_t num_nodes,
 
   const std::uint32_t p2 = floor_pow2(num_nodes);
   const std::uint32_t r = num_nodes - p2;
+  sched.reserve_steps(recursive_doubling_steps(num_nodes));
 
   // Pre-fold: odd nodes below 2r merge into their even neighbour so exactly
   // p2 participants remain: the even nodes below 2r plus all nodes >= 2r.
   if (r > 0) {
     Step& step = sched.add_step("pre-fold");
+    step.transfers.reserve(r);
     for (std::uint32_t i = 1; i < 2 * r; i += 2) {
       step.transfers.push_back(Transfer{i, i - 1, 0, elements,
                                         TransferKind::kReduce, std::nullopt});
@@ -41,6 +43,7 @@ Schedule recursive_doubling_allreduce(std::uint32_t num_nodes,
   const std::uint32_t levels = std::bit_width(p2) - 1;
   for (std::uint32_t s = 0; s < levels; ++s) {
     Step& step = sched.add_step("exchange 2^" + std::to_string(s));
+    step.transfers.reserve(p2);
     for (std::uint32_t rank = 0; rank < p2; ++rank) {
       const std::uint32_t partner = rank ^ (1u << s);
       // Emit each directed transfer once; both directions happen in-step.
@@ -52,6 +55,7 @@ Schedule recursive_doubling_allreduce(std::uint32_t num_nodes,
 
   if (r > 0) {
     Step& step = sched.add_step("post-copy");
+    step.transfers.reserve(r);
     for (std::uint32_t i = 1; i < 2 * r; i += 2) {
       step.transfers.push_back(
           Transfer{i - 1, i, 0, elements, TransferKind::kCopy, std::nullopt});

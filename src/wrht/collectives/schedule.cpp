@@ -93,14 +93,21 @@ std::size_t Schedule::max_transfer_elements(std::size_t step) const {
 
 void Schedule::validate() const {
   for (std::size_t s = 0; s < steps_.size(); ++s) {
+    // Messages are composed only on failure: this loop visits every
+    // transfer of every execution.
     for (const auto& t : steps_[s].transfers) {
-      require(t.src < num_nodes_ && t.dst < num_nodes_,
-              "Schedule: node id out of range in step " + std::to_string(s));
-      require(t.src != t.dst,
-              "Schedule: self-transfer in step " + std::to_string(s));
-      require(t.count >= 1 && t.offset + t.count <= elements_,
-              "Schedule: element range out of bounds in step " +
-                  std::to_string(s));
+      if (t.src >= num_nodes_ || t.dst >= num_nodes_) {
+        throw InvalidArgument("Schedule: node id out of range in step " +
+                              std::to_string(s));
+      }
+      if (t.src == t.dst) {
+        throw InvalidArgument("Schedule: self-transfer in step " +
+                              std::to_string(s));
+      }
+      if (t.count < 1 || t.offset + t.count > elements_) {
+        throw InvalidArgument("Schedule: element range out of bounds in step " +
+                              std::to_string(s));
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace wrht {
 
@@ -36,9 +37,12 @@ class ConstraintViolation : public Error {
   explicit ConstraintViolation(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with `message` unless `condition` holds.
-inline void require(bool condition, const std::string& message) {
-  if (!condition) throw InvalidArgument(message);
+/// Throws InvalidArgument with `message` unless `condition` holds. A
+/// literal message costs nothing when the check passes; a composed one is
+/// still built before the call, so checks inside per-transfer or per-event
+/// loops spell out `if (!ok) throw InvalidArgument(...)` instead.
+inline void require(bool condition, std::string_view message) {
+  if (!condition) throw InvalidArgument(std::string(message));
 }
 
 }  // namespace wrht

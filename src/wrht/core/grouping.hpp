@@ -27,6 +27,12 @@ struct Group {
 
 struct Level {
   std::vector<Group> groups;
+  /// Transfers one step of this level makes: one per member but the rep.
+  [[nodiscard]] std::size_t transfers() const {
+    std::size_t count = 0;
+    for (const Group& g : groups) count += g.members.size() - 1;
+    return count;
+  }
 };
 
 /// The full reduce-stage plan.

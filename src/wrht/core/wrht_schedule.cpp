@@ -28,6 +28,7 @@ void append_reduce_steps(Schedule& sched, const Hierarchy& hierarchy,
                          std::size_t elements, const topo::Ring& ring) {
   for (std::size_t l = 0; l < hierarchy.levels.size(); ++l) {
     Step& step = sched.add_step("reduce level " + std::to_string(l));
+    step.transfers.reserve(hierarchy.levels[l].transfers());
     for (const Group& group : hierarchy.levels[l].groups) {
       const NodeId rep = group.rep();
       for (const NodeId member : group.members) {
@@ -50,6 +51,7 @@ void append_reduce_steps(Schedule& sched, const Hierarchy& hierarchy,
     // of 2). Successive antipodal pairs alternate fibers for balance.
     bool tie_clockwise = true;
     const auto& reps = hierarchy.final_reps;
+    step.transfers.reserve(reps.size() * (reps.size() - 1));
     for (std::size_t i = 0; i < reps.size(); ++i) {
       for (std::size_t j = i + 1; j < reps.size(); ++j) {
         const NodeId a = reps[i];
@@ -83,6 +85,7 @@ void append_broadcast_steps(Schedule& sched, const Hierarchy& hierarchy,
                             std::size_t elements) {
   for (std::size_t l = hierarchy.levels.size(); l-- > 0;) {
     Step& step = sched.add_step("broadcast level " + std::to_string(l));
+    step.transfers.reserve(hierarchy.levels[l].transfers());
     for (const Group& group : hierarchy.levels[l].groups) {
       const NodeId rep = group.rep();
       for (const NodeId member : group.members) {

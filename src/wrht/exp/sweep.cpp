@@ -129,9 +129,27 @@ coll::Schedule build_schedule(const Series& series, const SweepPoint& point) {
 /// the base is full-vector; chunked bases and failed pioneer builds fall
 /// back to a full build, so patching can only save work, never change
 /// results or surface different errors.
+///
+/// Lifetime: the grid is known before any point runs, so the constructor
+/// counts each exact key's requests and each structure's distinct exact
+/// keys. An entry is erased on its last request, leaving the schedule
+/// owned only by the points still executing it. A structural base is
+/// dropped once every sibling has looked it up, or as soon as its pioneer
+/// turns out chunked or fails, since nothing can patch it then.
 class ScheduleCache {
  public:
-  explicit ScheduleCache(ScheduleCacheMode mode) : mode_(mode) {}
+  ScheduleCache(ScheduleCacheMode mode, const SweepSpec& spec,
+                const std::vector<SweepPoint>& points)
+      : mode_(mode) {
+    if (mode_ == ScheduleCacheMode::kOff) return;
+    for (const SweepPoint& point : points) {
+      const Series& series = spec.series[point.series_index];
+      const ScheduleKey key = schedule_key(series, point);
+      if (memo_[key].remaining++ == 0 && patchable(series)) {
+        ++structural_[structural_key(key)].remaining;
+      }
+    }
+  }
 
   SchedulePtr get_or_build(const Series& series, const SweepPoint& point) {
     if (mode_ == ScheduleCacheMode::kOff) {
@@ -141,35 +159,50 @@ class ScheduleCache {
           build_schedule(series, point));
     }
 
+    const ScheduleKey key = schedule_key(series, point);
     std::promise<SchedulePtr> promise;
     std::shared_future<SchedulePtr> future;
     std::shared_future<SchedulePtr> sibling;  // same structure, other elements
     bool build_here = false;
+    bool pioneer = false;  // first build of its structure
     {
-      const ScheduleKey key = schedule_key(series, point);
       const std::lock_guard<std::mutex> lock(mutex_);
       const auto it = memo_.find(key);
-      if (it == memo_.end()) {
-        future = promise.get_future().share();
-        memo_.emplace(key, future);
+      require(it != memo_.end(), "ScheduleCache: point outside the grid");
+      Entry& entry = it->second;
+      if (!entry.future.valid()) {
+        entry.future = promise.get_future().share();
         build_here = true;
-        if (mode_ == ScheduleCacheMode::kIncremental && !series.builder) {
-          ScheduleKey structural = key;
-          structural.elements = 0;
-          const auto [sit, inserted] =
-              structural_.try_emplace(structural, future);
-          if (!inserted) sibling = sit->second;
+        if (patchable(series)) {
+          const auto sit = structural_.find(structural_key(key));
+          if (sit != structural_.end()) {
+            Entry& base = sit->second;
+            sibling = base.future;
+            if (--base.remaining == 0) {
+              structural_.erase(sit);
+            } else if (!sibling.valid()) {
+              base.future = entry.future;
+              pioneer = true;
+            }
+          }
         }
       } else {
-        future = it->second;
         hits_.fetch_add(1, std::memory_order_relaxed);
       }
+      future = entry.future;
+      if (--entry.remaining == 0) memo_.erase(it);
     }
     if (build_here) {
+      SchedulePtr built;
       try {
-        promise.set_value(materialize(series, point, sibling));
+        built = materialize(series, point, sibling);
+        promise.set_value(built);
       } catch (...) {
         promise.set_exception(std::current_exception());
+      }
+      if (pioneer && (built == nullptr || !built->full_vector())) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        structural_.erase(structural_key(key));
       }
     }
     return future.get();
@@ -187,6 +220,23 @@ class ScheduleCache {
   }
 
  private:
+  /// A cached future plus how many lookups it still has to serve.
+  struct Entry {
+    std::shared_future<SchedulePtr> future;
+    std::size_t remaining = 0;
+  };
+
+  /// Registry builds may serve element-count siblings (kIncremental);
+  /// custom builders always rebuild.
+  [[nodiscard]] bool patchable(const Series& series) const {
+    return mode_ == ScheduleCacheMode::kIncremental && !series.builder;
+  }
+
+  static ScheduleKey structural_key(ScheduleKey key) {
+    key.elements = 0;
+    return key;
+  }
+
   SchedulePtr materialize(const Series& series, const SweepPoint& point,
                           const std::shared_future<SchedulePtr>& sibling) {
     if (sibling.valid()) {
@@ -214,12 +264,8 @@ class ScheduleCache {
 
   ScheduleCacheMode mode_;
   std::mutex mutex_;
-  std::unordered_map<ScheduleKey, std::shared_future<SchedulePtr>,
-                     ScheduleKeyHash>
-      memo_;
-  std::unordered_map<ScheduleKey, std::shared_future<SchedulePtr>,
-                     ScheduleKeyHash>
-      structural_;
+  std::unordered_map<ScheduleKey, Entry, ScheduleKeyHash> memo_;
+  std::unordered_map<ScheduleKey, Entry, ScheduleKeyHash> structural_;
   std::atomic<std::uint64_t> builds_{0};
   std::atomic<std::uint64_t> patches_{0};
   std::atomic<std::uint64_t> hits_{0};
@@ -336,7 +382,7 @@ std::vector<SweepRow> SweepRunner::run(const SweepSpec& spec) const {
 
   const std::vector<SweepPoint> points = expand_grid(spec);
   std::vector<SweepRow> rows(points.size());
-  ScheduleCache cache(spec.schedule_cache);
+  ScheduleCache cache(spec.schedule_cache, spec, points);
 
   std::optional<LockedTraceSink> locked;
   if (spec.trace != nullptr) locked.emplace(*spec.trace);

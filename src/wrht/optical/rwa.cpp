@@ -133,6 +133,16 @@ bool try_assign(const topo::Ring& ring, const coll::Transfer& t,
   return false;
 }
 
+/// Every RWA call (one per step) checks its leased slice; the message is
+/// composed only on failure.
+void require_nonempty_slice(const RwaOptions& options) {
+  if (options.wavelength_lo >= options.wavelengths) {
+    throw InvalidArgument("RWA: leased slice [" +
+                          std::to_string(options.wavelength_lo) + ", " +
+                          std::to_string(options.wavelengths) + ") is empty");
+  }
+}
+
 }  // namespace
 
 RwaResult assign_wavelengths(const topo::Ring& ring,
@@ -141,9 +151,7 @@ RwaResult assign_wavelengths(const topo::Ring& ring,
   const prof::ScopedTimer timer("optical.rwa.assign");
   require(options.wavelengths >= 1 && options.fibers_per_direction >= 1,
           "RWA: need at least one wavelength and fiber");
-  require(options.wavelength_lo < options.wavelengths,
-          "RWA: leased slice [" + std::to_string(options.wavelength_lo) +
-              ", " + std::to_string(options.wavelengths) + ") is empty");
+  require_nonempty_slice(options);
   RwaResult result;
   result.paths.resize(transfers.size());
   OccupancyMap occupancy(ring.size(), options);
@@ -164,9 +172,7 @@ RwaResult assign_wavelengths(const topo::Ring& ring,
 RoundsResult assign_rounds(const topo::Ring& ring,
                            std::span<const coll::Transfer> transfers,
                            const RwaOptions& options, Rng* rng) {
-  require(options.wavelength_lo < options.wavelengths,
-          "RWA: leased slice [" + std::to_string(options.wavelength_lo) +
-              ", " + std::to_string(options.wavelengths) + ") is empty");
+  require_nonempty_slice(options);
   RoundsResult result;
   std::vector<std::size_t> remaining = order_by_hops(ring, transfers);
 

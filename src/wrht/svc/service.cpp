@@ -593,11 +593,12 @@ ServiceReport FabricService::run(const std::vector<Job>& jobs) {
   for (const Job& job : jobs) {
     require(job.num_nodes >= 2, "FabricService: job needs >= 2 nodes");
     require(job.iterations >= 1, "FabricService: job needs >= 1 iteration");
-    require(job.width >= 1 &&
-                job.width <= config_.fabric_wavelengths,
-            "FabricService: job " + std::to_string(job.id) + " wants " +
-                std::to_string(job.width) + " of " +
-                std::to_string(config_.fabric_wavelengths) + " wavelengths");
+    if (job.width < 1 || job.width > config_.fabric_wavelengths) {
+      throw InvalidArgument(
+          "FabricService: job " + std::to_string(job.id) + " wants " +
+          std::to_string(job.width) + " of " +
+          std::to_string(config_.fabric_wavelengths) + " wavelengths");
+    }
     simulator_.schedule_at(job.arrival, [this, job]() {
       queue_.push_back(job);
       if (config_.counters != nullptr) config_.counters->add("svc.arrivals", 1);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "wrht/common/error.hpp"
 #include "wrht/core/torus_wrht.hpp"
@@ -53,6 +54,18 @@ TEST(ResourceLease, Validation) {
   EXPECT_THROW((ResourceLease{6, 4, 0}).validate(8), InvalidArgument);
   EXPECT_THROW(slice_lease(6, 4).validate(8), InvalidArgument);  // [6, 10)
   EXPECT_NO_THROW(slice_lease(4, 4).validate(8));  // [4, 8) exactly fits
+  const auto message = [](const ResourceLease& lease, std::uint32_t fabric) {
+    try {
+      lease.validate(fabric);
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(message(ResourceLease{5, 5, 0}, 8),
+            "ResourceLease: empty slice [5, 5)");
+  EXPECT_EQ(message(slice_lease(6, 4), 8),
+            "ResourceLease: slice [6, 10) exceeds the fabric's 8 wavelengths");
 }
 
 optics::OpticalConfig optical_cfg(std::uint32_t wavelengths) {

@@ -141,6 +141,25 @@ TEST(Rwa, RandomFitRequiresRng) {
   EXPECT_THROW(assign_wavelengths(ring, std::vector<Transfer>{t(0, 1)}, opt), InvalidArgument);
 }
 
+TEST(Rwa, EmptyLeasedSliceIsRejectedByName) {
+  const Ring ring(8);
+  RwaOptions opt;
+  opt.wavelengths = 4;
+  opt.wavelength_lo = 4;
+  for (const bool rounds : {false, true}) {
+    try {
+      if (rounds) {
+        (void)assign_rounds(ring, std::vector<Transfer>{t(0, 1)}, opt);
+      } else {
+        (void)assign_wavelengths(ring, std::vector<Transfer>{t(0, 1)}, opt);
+      }
+      ADD_FAILURE() << "no throw, rounds=" << rounds;
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), "RWA: leased slice [4, 4) is empty");
+    }
+  }
+}
+
 TEST(Rwa, AllToAllStaysNearLiangShenBound) {
   // k equally spaced reps on a ring: the per-segment load (and hence the
   // wavelength minimum) is ceil(k^2/8) [Liang & Shen]. Greedy first-fit

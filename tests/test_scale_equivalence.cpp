@@ -9,14 +9,20 @@
 // figure-style CSV text, across all four executing backends.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "wrht/collectives/btree_allreduce.hpp"
 #include "wrht/collectives/registry.hpp"
 #include "wrht/collectives/schedule.hpp"
+#include "wrht/common/error.hpp"
 #include "wrht/common/table.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
@@ -197,6 +203,174 @@ TEST(ScaleEquivalence, CacheModesProduceIdenticalCsvRows) {
   const std::string off = render(exp::ScheduleCacheMode::kOff);
   EXPECT_EQ(off, render(exp::ScheduleCacheMode::kExact));
   EXPECT_EQ(off, render(exp::ScheduleCacheMode::kIncremental));
+}
+
+/// A chunked grid whose cache keys have several consumers: `ring` and
+/// `ring_flow` share every build (the backend is not part of the key) and
+/// `b_alias` aliases `b`'s element count, so an entry serves up to four
+/// points before the cache releases it. WRHT rides along so the
+/// structural tier patches while the chunked builds come and go.
+exp::SweepSpec chunked_spec() {
+  exp::ensure_initialized();
+  exp::SweepSpec spec;
+  spec.workloads = {exp::Workload{"a", 1000}, exp::Workload{"b", 2000},
+                    exp::Workload{"b_alias", 2000}, exp::Workload{"c", 3000}};
+  spec.nodes = {16, 24};
+  spec.wavelengths = {4, 8};
+  spec.series = {
+      exp::Series{.name = "ring", .algorithm = "ring"},
+      exp::Series{.name = "ring_flow", .algorithm = "ring",
+                  .backend = "electrical-flow"},
+      exp::Series{.name = "hring", .algorithm = "hring", .group_size = 5},
+      exp::Series{.name = "wrht", .algorithm = "wrht"},
+  };
+  spec.config.validate_node_capacity = false;
+  return spec;
+}
+
+struct ChunkedRun {
+  std::string csv;
+  std::vector<std::string> reports;
+  std::uint64_t builds = 0;
+  std::uint64_t patches = 0;
+  std::uint64_t hits = 0;
+};
+
+ChunkedRun run_chunked(exp::ScheduleCacheMode mode, unsigned threads) {
+  obs::Counters counters;
+  exp::SweepSpec spec = chunked_spec();
+  spec.schedule_cache = mode;
+  spec.counters = &counters;
+  const auto rows = exp::SweepRunner(threads).run(spec);
+  ChunkedRun run;
+  run.csv = sweep_csv(rows);
+  for (const exp::SweepRow& row : rows) {
+    run.reports.push_back(report_json(row.report));
+  }
+  run.builds = counters.value("sweep.schedule.builds");
+  run.patches = counters.value("sweep.schedule.patches");
+  run.hits = counters.value("sweep.schedule.hits");
+  return run;
+}
+
+/// Every cache mode at 1 and 4 workers reproduces the uncached reference
+/// on the chunked grid, and entries released after their last consumer
+/// never turn a hit into a rebuild: 64 points over 36 distinct keys give
+/// 28 hits; the 12 WRHT keys form 4 (N, w) structures, so kIncremental
+/// patches 8 of them.
+TEST(ScaleEquivalence, ChunkedGridCacheModesAndWorkerCountsAgree) {
+  const ChunkedRun reference =
+      run_chunked(exp::ScheduleCacheMode::kOff, 1);
+  ASSERT_EQ(reference.reports.size(), 64u);
+  EXPECT_EQ(reference.builds, 64u);
+
+  struct Expected {
+    exp::ScheduleCacheMode mode;
+    std::uint64_t builds;
+    std::uint64_t patches;
+  };
+  for (const Expected& expected :
+       {Expected{exp::ScheduleCacheMode::kExact, 36, 0},
+        Expected{exp::ScheduleCacheMode::kIncremental, 28, 8}}) {
+    for (const unsigned threads : {1u, 4u}) {
+      const ChunkedRun run = run_chunked(expected.mode, threads);
+      const std::string where =
+          "mode " + std::to_string(static_cast<int>(expected.mode)) +
+          " threads " + std::to_string(threads);
+      EXPECT_EQ(run.csv, reference.csv) << where;
+      EXPECT_EQ(run.reports, reference.reports) << where;
+      EXPECT_EQ(run.builds, expected.builds) << where;
+      EXPECT_EQ(run.patches, expected.patches) << where;
+      EXPECT_EQ(run.hits, 28u) << where;
+    }
+  }
+}
+
+/// Calls per element count of the `test_flaky` algorithm: a full-vector
+/// registry algorithm (btree) whose build fails at kFlakyElements.
+constexpr std::size_t kFlakyElements = 7;
+struct FlakyLog {
+  std::mutex mutex;
+  std::condition_variable called;
+  std::map<std::size_t, int> calls;
+};
+FlakyLog& flaky_log() {
+  static FlakyLog log;
+  return log;
+}
+
+void register_flaky_algorithm() {
+  coll::Registry::instance().register_algorithm(
+      "test_flaky", [](const coll::AllreduceParams& p) {
+        {
+          FlakyLog& log = flaky_log();
+          const std::lock_guard<std::mutex> lock(log.mutex);
+          ++log.calls[p.elements];
+          log.called.notify_all();
+        }
+        if (p.elements == kFlakyElements) {
+          throw InvalidArgument("test_flaky: cannot build 7 elements");
+        }
+        return coll::btree_allreduce(p.num_nodes, p.elements);
+      });
+}
+
+/// A pioneer build that throws leaves the structure unpatchable: the
+/// point aliasing its element count rethrows its error, and the sibling
+/// with another element count rebuilds (one more builder call) instead of
+/// patching. Two workers start on points 0 and 1; point 1's builder waits
+/// until the failing build has run, so no later point can overtake point 0
+/// as the structure's pioneer.
+TEST(ScaleEquivalence, FailedPioneerMakesSiblingsRebuildOrRethrow) {
+  exp::ensure_initialized();
+  register_flaky_algorithm();
+  exp::SweepSpec spec;
+  spec.workloads = {exp::Workload{"bad", kFlakyElements},
+                    exp::Workload{"bad_alias", kFlakyElements},
+                    exp::Workload{"ok", 64}};
+  spec.nodes = {8};
+  spec.wavelengths = {4};
+  spec.series = {
+      exp::Series{.name = "flaky", .algorithm = "test_flaky"},
+      exp::Series{.name = "gate",
+                  .builder = [](const exp::SweepPoint& point) {
+                    if (point.workload.name == "bad") {
+                      FlakyLog& log = flaky_log();
+                      std::unique_lock<std::mutex> lock(log.mutex);
+                      log.called.wait_for(lock, std::chrono::seconds(30), [&] {
+                        return log.calls.count(kFlakyElements) != 0;
+                      });
+                    }
+                    return coll::btree_allreduce(point.nodes,
+                                                 point.workload.elements);
+                  }},
+  };
+
+  for (const exp::ScheduleCacheMode mode :
+       {exp::ScheduleCacheMode::kOff, exp::ScheduleCacheMode::kExact,
+        exp::ScheduleCacheMode::kIncremental}) {
+    {
+      const std::lock_guard<std::mutex> lock(flaky_log().mutex);
+      flaky_log().calls.clear();
+    }
+    spec.schedule_cache = mode;
+    std::string error;
+    try {
+      (void)exp::SweepRunner(2).run(spec);
+    } catch (const InvalidArgument& e) {
+      error = e.what();
+    }
+    const std::string where =
+        "mode " + std::to_string(static_cast<int>(mode));
+    EXPECT_EQ(error, "test_flaky: cannot build 7 elements") << where;
+    const std::lock_guard<std::mutex> lock(flaky_log().mutex);
+    // Uncached, bad_alias builds (and fails) again; cached, it rethrows
+    // the memoized error.
+    EXPECT_EQ(flaky_log().calls[kFlakyElements],
+              mode == exp::ScheduleCacheMode::kOff ? 2 : 1)
+        << where;
+    EXPECT_EQ(flaky_log().calls[64], 1) << where;
+  }
 }
 
 /// Batched first-fit RWA is a pure function of its input: any worker count

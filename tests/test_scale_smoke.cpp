@@ -17,6 +17,8 @@
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/dnn/zoo.hpp"
+#include "wrht/exp/sweep.hpp"
 #include "wrht/prof/prof.hpp"
 #include "wrht/topo/torus.hpp"
 #include "wrht/verify/invariants.hpp"
@@ -110,6 +112,30 @@ TEST(ScaleSmoke, Ring100kRescaleStaysInBudget) {
   EXPECT_EQ(schedule.elements(), 25557032u);
   EXPECT_TRUE(schedule.full_vector());
   EXPECT_LE(prof::peak_rss_bytes(), kPeakRssBudgetBytes);
+}
+
+/// Budget for a chunked sweep: one Ring schedule at N = 2048 holds
+/// 2 * 2047 * 2048 transfers (320 MiB of 40-byte Transfers). The sweep
+/// cache frees each schedule after its last grid point, so one worker
+/// holds one such schedule at a time (measured peak 328 MiB); a cache
+/// that kept every workload's build alive peaks at ~2.5 GiB.
+constexpr std::size_t kChunkedSweepBudgetBytes = 700ull * 1024 * 1024;
+
+TEST(ScaleSmoke, ChunkedRingSweepFreesEachScheduleAfterItsPoint) {
+  exp::SweepSpec spec;
+  for (const auto& model : dnn::paper_workloads()) {
+    spec.workloads.push_back(
+        exp::Workload{model.name(), model.parameter_count()});
+  }
+  spec.nodes = {2048};
+  spec.wavelengths = {kWavelengths};
+  spec.series = {exp::Series{.name = "ring", .algorithm = "ring"}};
+  const auto rows = exp::SweepRunner(1).run(spec);
+  ASSERT_EQ(rows.size(), 4u);
+  for (const exp::SweepRow& row : rows) {
+    EXPECT_EQ(row.report.steps, 2u * 2047);
+  }
+  EXPECT_LE(prof::peak_rss_bytes(), kChunkedSweepBudgetBytes);
 }
 
 }  // namespace

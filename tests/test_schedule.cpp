@@ -2,10 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "wrht/collectives/btree_allreduce.hpp"
+#include "wrht/collectives/halving_doubling.hpp"
+#include "wrht/collectives/hring_allreduce.hpp"
+#include "wrht/collectives/recursive_doubling.hpp"
+#include "wrht/collectives/ring_allreduce.hpp"
+#include "wrht/collectives/ring_primitives.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/core/wrht_schedule.hpp"
 
 namespace wrht::coll {
 namespace {
+
+/// The InvalidArgument message `fn` throws ("" when it does not throw).
+std::string invalid_argument_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A schedule whose steps 0 .. bad_step-1 are valid and whose step
+/// `bad_step` ends with `bad`.
+Schedule with_bad_transfer(std::size_t bad_step, const Transfer& bad) {
+  Schedule s("test", 4, 10);
+  for (std::size_t i = 0; i < bad_step; ++i) {
+    s.add_step().transfers.push_back(
+        Transfer{0, 1, 0, 10, TransferKind::kReduce, {}});
+  }
+  Step& step = s.add_step();
+  step.transfers.push_back(Transfer{2, 3, 0, 5, TransferKind::kCopy, {}});
+  step.transfers.push_back(bad);
+  return s;
+}
 
 TEST(Schedule, BasicAccessors) {
   Schedule s("test", 4, 100);
@@ -58,6 +94,23 @@ TEST(Schedule, ValidateRejectsEmptyTransfer) {
   EXPECT_THROW(s.validate(), InvalidArgument);
 }
 
+TEST(Schedule, ValidateMessagesNameTheFailingStep) {
+  const auto message = [](std::size_t step, const Transfer& bad) {
+    const Schedule s = with_bad_transfer(step, bad);
+    return invalid_argument_of([&] { s.validate(); });
+  };
+  EXPECT_EQ(message(2, Transfer{0, 4, 0, 10, TransferKind::kReduce, {}}),
+            "Schedule: node id out of range in step 2");
+  EXPECT_EQ(message(0, Transfer{7, 1, 0, 10, TransferKind::kReduce, {}}),
+            "Schedule: node id out of range in step 0");
+  EXPECT_EQ(message(1, Transfer{3, 3, 0, 10, TransferKind::kReduce, {}}),
+            "Schedule: self-transfer in step 1");
+  EXPECT_EQ(message(3, Transfer{0, 1, 8, 5, TransferKind::kCopy, {}}),
+            "Schedule: element range out of bounds in step 3");
+  EXPECT_EQ(message(12, Transfer{0, 1, 0, 0, TransferKind::kCopy, {}}),
+            "Schedule: element range out of bounds in step 12");
+}
+
 TEST(Schedule, ConstructionValidation) {
   EXPECT_THROW(Schedule("x", 0, 10), InvalidArgument);
   EXPECT_THROW(Schedule("x", 2, 0), InvalidArgument);
@@ -102,8 +155,47 @@ TEST(ChunkRange, MoreChunksThanElements) {
 }
 
 TEST(ChunkRange, Validation) {
-  EXPECT_THROW(chunk_range(10, 0, 0), InvalidArgument);
-  EXPECT_THROW(chunk_range(10, 3, 3), InvalidArgument);
+  EXPECT_EQ(invalid_argument_of([] { (void)chunk_range(10, 0, 0); }),
+            "chunk_range: bad chunk index");
+  EXPECT_EQ(invalid_argument_of([] { (void)chunk_range(10, 3, 3); }),
+            "chunk_range: bad chunk index");
+}
+
+/// Builders reserve their step storage up front, so a schedule's arena
+/// holds its transfers and nothing else: no block abandoned by vector
+/// growth (which cost 2x the payload for Ring).
+TEST(ScheduleStorage, BuildersLeaveNoGrowthBlocksInTheArena) {
+  const std::size_t elements = std::size_t{1} << 20;
+  core::WrhtOptions wrht;
+  wrht.group_size = 5;
+  wrht.wavelengths = 64;
+  const std::vector<std::pair<std::string, std::function<Schedule()>>>
+      builders = {
+          {"ring", [&] { return ring_allreduce(1024, elements); }},
+          {"hring", [&] { return hring_allreduce(1024, elements, 5); }},
+          {"hring N=1000",
+           [&] { return hring_allreduce(1000, elements, 7); }},
+          {"ring_reduce_scatter",
+           [&] { return ring_reduce_scatter(1024, elements); }},
+          {"ring_allgather", [&] { return ring_allgather(1024, elements); }},
+          {"btree N=1000", [&] { return btree_allreduce(1000, elements); }},
+          {"recursive_doubling N=1000",
+           [&] { return recursive_doubling_allreduce(1000, elements); }},
+          {"halving_doubling N=1000",
+           [&] { return halving_doubling_allreduce(1000, elements); }},
+          {"wrht", [&] { return core::wrht_allreduce(1024, elements, wrht); }},
+      };
+  for (const auto& [name, build] : builders) {
+    const Schedule s = build();
+    std::size_t transfers = 0;
+    for (const Step& step : s.steps()) transfers += step.transfers.size();
+    ASSERT_NE(s.arena(), nullptr) << name;
+    const double payload =
+        static_cast<double>(transfers * sizeof(Transfer));
+    EXPECT_LE(static_cast<double>(s.arena()->bytes_allocated()),
+              payload * 1.05 + 4096.0)
+        << name << ": " << transfers << " transfers";
+  }
 }
 
 TEST(ReconfigDeltas, ColdStartAddsEverything) {

@@ -168,6 +168,13 @@ TEST(SvcTelemetry, ReplayRejectsInconsistentLogs) {
   log.record(obs::ServiceEvent{obs::ServiceEvent::Kind::kComplete,
                                Seconds(1.0), 1, 0, 0, 4, "release"});
   EXPECT_THROW((void)replay_events(log), Error);  // complete without grant
+  try {
+    (void)replay_events(log);
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "replay_events: complete of job 1 without a grant "
+                 "(event 1, line 2)");
+  }
 
   obs::EventLog unfinished;
   unfinished.set_context(obs::EventLog::Context{8, "fifo", 1});
