@@ -508,8 +508,8 @@ int main(int argc, char** argv) {
     // bench_svc_policies bursty-saturated load — the per-rep
     // enabled/disabled ratio, interleaved so frequency drift hits both
     // sides. The baselines pin the ratio so telemetry overhead cannot
-    // silently creep past its budget (<5% is the target on this workload
-    // at full scale).
+    // silently creep past its budget (about 0.5-1 us per job, a ratio
+    // near 1.17 on this workload at full scale).
     {
       svc::WorkloadConfig workload;
       workload.num_jobs = opt.tiny ? 32 : 128;

@@ -3,12 +3,16 @@
 # temporary directory and compares its CSV byte for byte with the
 # checked-in reference at the repo root. The ablation CSVs named by the
 # `bench_csv_regression` ctest pin retune-aware pricing
-# (ablation_reconfig), overlapped pricing (ablation_overlap) and channel
-# occupancy (ablation_utilization); `bench_fig6_regression` runs Fig. 6
-# (fig6_scaling) at its full N <= 4096 grid.
+# (ablation_reconfig), overlapped pricing (ablation_overlap), channel
+# occupancy (ablation_utilization), and the shared-fabric service: the
+# admission-policy bake-off (ablation_svc_policies, from bench_svc_policies)
+# and the telemetry on/off identity (ablation_svc_telemetry, from
+# bench_svc_telemetry); `bench_fig6_regression` runs Fig. 6 (fig6_scaling)
+# at its full N <= 4096 grid.
 #
 # Usage: scripts/check_bench_csv.sh <bench-binary-dir> <name>...
-#   (bench_<name> writes <name>.csv)
+#   (<name> is either <csv>, where bench_<csv> writes <csv>.csv, or
+#   <bench>:<csv>, where bench_<bench> writes <csv>.csv)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -21,9 +25,11 @@ trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
 
 status=0
-for name in "$@"; do
-  if ! "$BENCH_DIR/bench_$name" > "$name.log" 2>&1; then
-    echo "FAIL bench_$name exited non-zero:"
+for arg in "$@"; do
+  bench="${arg%%:*}"
+  name="${arg#*:}"
+  if ! "$BENCH_DIR/bench_$bench" > "$name.log" 2>&1; then
+    echo "FAIL bench_$bench exited non-zero:"
     tail -n 20 "$name.log"
     status=1
   elif ! cmp "$name.csv" "$ROOT/$name.csv"; then

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <tuple>
 
 #include "wrht/common/error.hpp"
 #include "wrht/diag/blame_json.hpp"
@@ -94,20 +95,37 @@ std::vector<Segment> replay_allocator(const svc::ServiceReport& report,
   return segments;
 }
 
-/// Seconds of [t0, t1) during which the fabric was fragmented for a job of
+/// The segments during which the fabric was fragmented for a job of
 /// `width`: enough free width in total, no contiguous slice wide enough.
-double fragmented_wait(const std::vector<Segment>& segments, double t0,
-                       double t1, std::uint32_t width) {
-  double fragmented = 0.0;
+/// Kept in time order, so the result is sorted and pairwise disjoint.
+std::vector<Segment> fragmented_segments(const std::vector<Segment>& segments,
+                                         std::uint32_t width) {
+  std::vector<Segment> fragmented;
   for (const Segment& segment : segments) {
-    const double lo = std::max(t0, segment.t0);
-    const double hi = std::min(t1, segment.t1);
-    if (hi <= lo) continue;
     if (segment.free_width >= width && segment.largest_free < width) {
-      fragmented += hi - lo;
+      fragmented.push_back(segment);
     }
   }
   return fragmented;
+}
+
+/// Seconds of [t0, t1) covered by `fragmented` (one width's
+/// fragmented_segments()). Only segments that overlap [t0, t1) are
+/// visited, in time order: every other segment contributes nothing, so
+/// the sum is the one a scan over the whole timeline would add up.
+double fragmented_wait(const std::vector<Segment>& fragmented, double t0,
+                       double t1) {
+  double total = 0.0;
+  for (auto it = std::partition_point(
+           fragmented.begin(), fragmented.end(),
+           [t0](const Segment& segment) { return segment.t1 <= t0; });
+       it != fragmented.end() && it->t0 < t1; ++it) {
+    const double lo = std::max(t0, it->t0);
+    const double hi = std::min(t1, it->t1);
+    if (hi <= lo) continue;
+    total += hi - lo;
+  }
+  return total;
 }
 
 }  // namespace
@@ -124,15 +142,30 @@ ServiceBlame build_service_blame(const svc::ServiceReport& report,
 
   const std::vector<Segment> segments =
       replay_allocator(report, fabric_wavelengths);
+  // Built on first use for each distinct job width.
+  std::map<std::uint32_t, std::vector<Segment>> fragmented_by_width;
+  // plan::predict is pure in its arguments, and a run has few distinct
+  // job shapes: price each (algorithm, shape, width) once.
+  std::map<std::tuple<plan::CandidateKind, std::uint32_t, std::size_t,
+                      std::uint32_t>,
+           plan::Candidate>
+      candidates;
 
   std::map<std::uint32_t, TenantBlame> tenants;
   for (const svc::JobRecord& record : report.records) {
     const svc::Job& job = record.job;
 
     // Wait split: fragmentation vs queueing.
+    auto fragmented_at = fragmented_by_width.find(job.width);
+    if (fragmented_at == fragmented_by_width.end()) {
+      fragmented_at =
+          fragmented_by_width
+              .emplace(job.width, fragmented_segments(segments, job.width))
+              .first;
+    }
     const double wait = record.queue_wait().count();
     const double fragmented = fragmented_wait(
-        segments, job.arrival.count(), record.grant.count(), job.width);
+        fragmented_at->second, job.arrival.count(), record.grant.count());
     const double queueing = wait - fragmented;
 
     // Service split: re-price the granted algorithm at the granted width
@@ -146,15 +179,24 @@ ServiceBlame build_service_blame(const svc::ServiceReport& report,
     double reconfig = 0.0;
     double conversion = 0.0;
     if (job.num_nodes >= 2 && job.elements > 0) {
-      plan::PlannerOptions options = planner;
-      options.wavelengths = job.width;
-      const plan::Candidate candidate = plan::predict(
-          record.algorithm, job.num_nodes, job.elements, options);
+      const auto key = std::make_tuple(record.algorithm, job.num_nodes,
+                                       job.elements, job.width);
+      auto priced = candidates.find(key);
+      if (priced == candidates.end()) {
+        plan::PlannerOptions options = planner;
+        options.wavelengths = job.width;
+        priced = candidates
+                     .emplace(key, plan::predict(record.algorithm,
+                                                 job.num_nodes, job.elements,
+                                                 options))
+                     .first;
+      }
+      const plan::Candidate& candidate = priced->second;
       if (candidate.feasible) {
         const double iterations = static_cast<double>(job.iterations);
         reconfig = candidate.charged_reconfig.count() * iterations;
         conversion = static_cast<double>(candidate.rounds) *
-                     options.oeo_delay.count() * iterations;
+                     planner.oeo_delay.count() * iterations;
         if (reconfig + conversion > service) {
           // The log's timings disagree with this cost model (different
           // planner knobs at record time); don't fabricate a negative

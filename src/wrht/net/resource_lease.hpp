@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "wrht/common/error.hpp"
@@ -85,11 +86,17 @@ struct ResourceLease {
   friend bool operator==(const ResourceLease&, const ResourceLease&) = default;
 };
 
-/// Builds the slice [w_lo, w_lo + width); a zero-width request throws.
+/// Builds the slice [w_lo, w_lo + width); a zero-width request, or one
+/// whose end does not fit a 32-bit wavelength index, throws.
 [[nodiscard]] inline ResourceLease slice_lease(std::uint32_t w_lo,
                                                std::uint32_t width,
                                                std::uint32_t tenant = 0) {
   require(width >= 1, "slice_lease: zero-width slice");
+  if (width > std::numeric_limits<std::uint32_t>::max() - w_lo) {
+    throw InvalidArgument("slice_lease: slice at " + std::to_string(w_lo) +
+                          " of width " + std::to_string(width) +
+                          " overflows the 32-bit wavelength index");
+  }
   return ResourceLease{w_lo, w_lo + width, tenant};
 }
 

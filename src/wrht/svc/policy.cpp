@@ -40,9 +40,9 @@ class FifoPolicy final : public AdmissionPolicy {
  public:
   [[nodiscard]] PolicyKind kind() const override { return PolicyKind::kFifo; }
   [[nodiscard]] std::size_t select(
-      const std::vector<Job>& queue,
+      const std::vector<const Job*>& queue,
       const AdmissionContext& ctx) const override {
-    if (queue.empty() || !ctx.fits(queue.front().width)) return kNone;
+    if (queue.empty() || !ctx.fits(queue.front()->width)) return kNone;
     return 0;
   }
 };
@@ -53,16 +53,16 @@ class PriorityPolicy final : public AdmissionPolicy {
     return PolicyKind::kPriority;
   }
   [[nodiscard]] std::size_t select(
-      const std::vector<Job>& queue,
+      const std::vector<const Job*>& queue,
       const AdmissionContext& ctx) const override {
     if (queue.empty()) return kNone;
     std::size_t best = 0;
     for (std::size_t i = 1; i < queue.size(); ++i) {
       // Strictly greater keeps FIFO order among equal priorities.
-      if (queue[i].priority > queue[best].priority) best = i;
+      if (queue[i]->priority > queue[best]->priority) best = i;
     }
     // Strict like FIFO: the chosen job blocks until it fits.
-    return ctx.fits(queue[best].width) ? best : kNone;
+    return ctx.fits(queue[best]->width) ? best : kNone;
   }
 };
 
@@ -72,10 +72,10 @@ class BackfillPolicy final : public AdmissionPolicy {
     return PolicyKind::kBackfill;
   }
   [[nodiscard]] std::size_t select(
-      const std::vector<Job>& queue,
+      const std::vector<const Job*>& queue,
       const AdmissionContext& ctx) const override {
     for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (ctx.fits(queue[i].width)) return i;
+      if (ctx.fits(queue[i]->width)) return i;
     }
     return kNone;
   }
@@ -87,13 +87,13 @@ class WeightedFairPolicy final : public AdmissionPolicy {
     return PolicyKind::kWeightedFair;
   }
   [[nodiscard]] std::size_t select(
-      const std::vector<Job>& queue,
+      const std::vector<const Job*>& queue,
       const AdmissionContext& ctx) const override {
     std::size_t best = kNone;
     double best_consumed = 0.0;
     for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (!ctx.fits(queue[i].width)) continue;
-      const double consumed = ctx.weighted_consumption(queue[i].tenant);
+      if (!ctx.fits(queue[i]->width)) continue;
+      const double consumed = ctx.weighted_consumption(queue[i]->tenant);
       // Strictly less keeps FIFO order within a tenant and among tenants
       // at equal consumption.
       if (best == kNone || consumed < best_consumed) {

@@ -2,9 +2,10 @@
 //
 // Whenever a wavelength slice frees up (or a job arrives), the service
 // asks its policy which queued job to admit next. The policy sees the
-// queue in arrival order plus two oracles: does a contiguous slice of a
-// given width fit right now, and how much weighted fabric time has each
-// tenant consumed. Returning kNone blocks admission until the next event.
+// queue in arrival order plus the fabric's widest free contiguous slice
+// (so whether a job of a given width fits right now) and an oracle for
+// how much weighted fabric time each tenant has consumed. Returning kNone
+// blocks admission until the next event.
 //
 //   * fifo          — strict arrival order; a head job too wide to place
 //                     blocks everyone behind it.
@@ -39,8 +40,14 @@ enum class PolicyKind { kFifo, kPriority, kBackfill, kWeightedFair };
 
 /// What a policy may ask the service while selecting.
 struct AdmissionContext {
-  /// Can a contiguous slice of `width` wavelengths be allocated now?
-  std::function<bool(std::uint32_t width)> fits;
+  /// Widest free contiguous slice right now (0 on a fully busy fabric).
+  std::uint32_t largest_free = 0;
+  /// Can a contiguous slice of `width` wavelengths be allocated now? Exact
+  /// for a first-fit contiguous allocator: a slice fits iff some free
+  /// interval is at least that wide.
+  [[nodiscard]] bool fits(std::uint32_t width) const {
+    return width <= largest_free;
+  }
   /// Wavelength-seconds granted to `tenant` so far, divided by the
   /// tenant's weight. Monotone within a run.
   std::function<double(std::uint32_t tenant)> weighted_consumption;
@@ -58,7 +65,8 @@ class AdmissionPolicy {
   /// Index into `queue` (arrival order) of the job to admit next, or
   /// kNone to block until the next arrival/completion event.
   [[nodiscard]] virtual std::size_t select(
-      const std::vector<Job>& queue, const AdmissionContext& ctx) const = 0;
+      const std::vector<const Job*>& queue,
+      const AdmissionContext& ctx) const = 0;
 };
 
 [[nodiscard]] std::unique_ptr<AdmissionPolicy> make_policy(PolicyKind kind);

@@ -43,7 +43,8 @@ std::optional<std::uint32_t> WavelengthAllocator::allocate(
 }
 
 void WavelengthAllocator::release(std::uint32_t w_lo, std::uint32_t width) {
-  require(width >= 1 && w_lo + width <= fabric_,
+  // Written so it cannot wrap: w_lo + width may exceed 32 bits.
+  require(width >= 1 && width <= fabric_ && w_lo <= fabric_ - width,
           "WavelengthAllocator: release outside the fabric");
   const Interval freed{w_lo, w_lo + width};
   // Insertion point: first free interval at or past the freed slice.
@@ -509,11 +510,14 @@ void FabricService::build_trace() const {
   }
 }
 
-std::pair<Seconds, plan::CandidateKind> FabricService::price_iteration(
-    const Job& job) const {
+const FabricService::Price& FabricService::price_iteration(const Job& job) {
+  const PriceKey key{job.num_nodes, job.elements, job.width};
+  if (const auto it = prices_.find(key); it != prices_.end()) {
+    return it->second;
+  }
   plan::PlannerOptions options = config_.planner;
   options.wavelengths = job.width;
-  std::optional<std::pair<Seconds, plan::CandidateKind>> best;
+  std::optional<Price> best;
   for (const plan::CandidateKind kind :
        {plan::CandidateKind::kWrht, plan::CandidateKind::kFlatAllToAll,
         plan::CandidateKind::kStaticRing}) {
@@ -528,12 +532,12 @@ std::pair<Seconds, plan::CandidateKind> FabricService::price_iteration(
   require(best.has_value(), "FabricService: no feasible all-reduce plan for "
                             "job at width " +
                                 std::to_string(job.width));
-  return *best;
+  return prices_.emplace(key, *best).first->second;
 }
 
 void FabricService::try_admit() {
   AdmissionContext ctx;
-  ctx.fits = [this](std::uint32_t width) { return allocator_.fits(width); };
+  ctx.largest_free = allocator_.largest_free();
   ctx.weighted_consumption = [this](std::uint32_t tenant) {
     const auto it = consumed_.find(tenant);
     const double consumed = it == consumed_.end() ? 0.0 : it->second;
@@ -545,13 +549,14 @@ void FabricService::try_admit() {
   for (std::size_t picked = policy_->select(queue_, ctx);
        picked != AdmissionPolicy::kNone;
        picked = policy_->select(queue_, ctx)) {
-    Job job = std::move(queue_[picked]);
+    const Job& job = *queue_[picked];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(picked));
     if (telemetry_) on_admit(job);
 
     const std::optional<std::uint32_t> w_lo = allocator_.allocate(job.width);
     require(w_lo.has_value(),
             "FabricService: policy admitted a job that does not fit");
+    ctx.largest_free = allocator_.largest_free();
 
     JobRecord record;
     record.lease = net::slice_lease(*w_lo, job.width, job.tenant);
@@ -562,7 +567,7 @@ void FabricService::try_admit() {
     record.completion = record.grant + service;
     // Charge the grant immediately so weighted-fair sees in-flight work.
     consumed_[job.tenant] += static_cast<double>(job.width) * service.count();
-    record.job = std::move(job);
+    record.job = job;
     if (config_.counters != nullptr) config_.counters->add("svc.grants", 1);
     if (telemetry_) on_grant(record);
 
@@ -585,6 +590,7 @@ ServiceReport FabricService::run(const std::vector<Job>& jobs) {
   simulator_.reset();
   allocator_ = WavelengthAllocator(config_.fabric_wavelengths);
   queue_.clear();
+  prices_.clear();
   completed_.clear();
   consumed_.clear();
   telemetry_.reset();
@@ -599,10 +605,10 @@ ServiceReport FabricService::run(const std::vector<Job>& jobs) {
           std::to_string(job.width) + " of " +
           std::to_string(config_.fabric_wavelengths) + " wavelengths");
     }
-    simulator_.schedule_at(job.arrival, [this, job]() {
+    simulator_.schedule_at(job.arrival, [this, job = &job]() {
       queue_.push_back(job);
       if (config_.counters != nullptr) config_.counters->add("svc.arrivals", 1);
-      if (telemetry_) on_submit(job);
+      if (telemetry_) on_submit(*job);
       try_admit();
     });
   }

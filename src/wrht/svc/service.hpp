@@ -16,6 +16,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "wrht/common/units.hpp"
@@ -189,11 +191,17 @@ class FabricService {
  private:
   struct Telemetry;  // service.cpp; alive only while telemetry is enabled
 
+  using Price = std::pair<Seconds, plan::CandidateKind>;
+  /// (num_nodes, elements, width): everything a price depends on besides
+  /// the fixed config_.planner.
+  using PriceKey = std::tuple<std::uint32_t, std::size_t, std::uint32_t>;
+
   void try_admit();
   /// Fastest feasible planner candidate at the job's granted width; one
   /// iteration's predicted time and the algorithm that achieves it.
-  [[nodiscard]] std::pair<Seconds, plan::CandidateKind> price_iteration(
-      const Job& job) const;
+  /// Memoized per run on the job's PriceKey: a trace has few distinct
+  /// shapes, and each is priced by the same closed forms every time.
+  [[nodiscard]] const Price& price_iteration(const Job& job);
 
   void telemetry_begin(const std::vector<Job>& jobs);
   void telemetry_sample();
@@ -209,7 +217,9 @@ class FabricService {
   std::unique_ptr<AdmissionPolicy> policy_;
   sim::Simulator simulator_;
   WavelengthAllocator allocator_;
-  std::vector<Job> queue_;  // arrival order
+  /// Arrival order; points into the `jobs` that run() was given.
+  std::vector<const Job*> queue_;
+  std::map<PriceKey, Price> prices_;  // price_iteration's memo, per run
   std::vector<JobRecord> completed_;
   std::map<std::uint32_t, double> consumed_;  // tenant -> wavelength-seconds
   std::unique_ptr<Telemetry> telemetry_;

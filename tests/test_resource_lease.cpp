@@ -68,6 +68,20 @@ TEST(ResourceLease, Validation) {
             "ResourceLease: slice [6, 10) exceeds the fabric's 8 wavelengths");
 }
 
+TEST(ResourceLease, SliceLeaseRejectsAWrappingEnd) {
+  try {
+    (void)slice_lease(0xFFFFFFFFu, 2);  // w_lo + width wraps to 1
+    ADD_FAILURE() << "wrapping slice was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(),
+                 "slice_lease: slice at 4294967295 of width 2 overflows the "
+                 "32-bit wavelength index");
+  }
+  // The last representable slice still builds.
+  const ResourceLease last = slice_lease(0xFFFFFFFEu, 1);
+  EXPECT_EQ(last.w_hi, 0xFFFFFFFFu);
+}
+
 optics::OpticalConfig optical_cfg(std::uint32_t wavelengths) {
   optics::OpticalConfig c;
   c.wavelengths = wavelengths;

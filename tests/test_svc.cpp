@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/rng.hpp"
 #include "wrht/obs/counters.hpp"
 #include "wrht/svc/workload.hpp"
 
@@ -49,11 +53,56 @@ TEST(WavelengthAllocator, ReleaseValidation) {
   EXPECT_THROW(alloc.release(2, 2), InvalidArgument);   // inside free space
 }
 
+TEST(WavelengthAllocator, ReleaseRejectsWrappingSlice) {
+  WavelengthAllocator alloc(8);
+  ASSERT_TRUE(alloc.allocate(8));
+  // 0xFFFFFFFF + 2 wraps to 1 in 32-bit arithmetic: still outside.
+  try {
+    alloc.release(0xFFFFFFFFu, 2);
+    ADD_FAILURE() << "wrapping release was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "WavelengthAllocator: release outside the fabric");
+  }
+  EXPECT_THROW(alloc.release(0, 9), InvalidArgument);  // wider than fabric
+  EXPECT_EQ(alloc.free_width(), 0u);
+  EXPECT_EQ(alloc.largest_free(), 0u);
+}
+
+TEST(WavelengthAllocator, FitsIffLargestFreeSliceIsWideEnough) {
+  // AdmissionContext::fits(w) is `w <= largest_free`; that is exact only
+  // if the allocator agrees at every reachable state.
+  constexpr std::uint32_t kFabric = 24;
+  WavelengthAllocator alloc(kFabric);
+  Rng rng(17);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> held;  // (lo, width)
+  for (int step = 0; step < 2000; ++step) {
+    if (held.empty() || rng.uniform_int(0, 2) > 0) {
+      const auto width = static_cast<std::uint32_t>(rng.uniform_int(1, 9));
+      if (const auto lo = alloc.allocate(width)) held.emplace_back(*lo, width);
+    } else {
+      const std::size_t i = rng.uniform_int(0, held.size() - 1);
+      alloc.release(held[i].first, held[i].second);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    for (std::uint32_t w = 1; w <= kFabric + 1; ++w) {
+      ASSERT_EQ(alloc.fits(w), w <= alloc.largest_free())
+          << "step " << step << ", width " << w;
+    }
+  }
+}
+
 AdmissionContext context_fitting_up_to(std::uint32_t max_width) {
   AdmissionContext ctx;
-  ctx.fits = [max_width](std::uint32_t width) { return width <= max_width; };
+  ctx.largest_free = max_width;
   ctx.weighted_consumption = [](std::uint32_t) { return 0.0; };
   return ctx;
+}
+
+/// The admission queue the service hands a policy: pointers into `jobs`.
+std::vector<const Job*> queue_of(const std::vector<Job>& jobs) {
+  std::vector<const Job*> queue;
+  for (const Job& job : jobs) queue.push_back(&job);
+  return queue;
 }
 
 Job job_of(std::uint64_t id, std::uint32_t width, std::uint32_t priority = 0,
@@ -70,7 +119,8 @@ Job job_of(std::uint64_t id, std::uint32_t width, std::uint32_t priority = 0,
 
 TEST(AdmissionPolicy, FifoBlocksBehindWideHead) {
   const auto policy = make_policy(PolicyKind::kFifo);
-  const std::vector<Job> queue = {job_of(0, 8), job_of(1, 2)};
+  const std::vector<Job> jobs = {job_of(0, 8), job_of(1, 2)};
+  const std::vector<const Job*> queue = queue_of(jobs);
   // Head fits: picked. Head too wide: everyone blocks.
   EXPECT_EQ(policy->select(queue, context_fitting_up_to(8)), 0u);
   EXPECT_EQ(policy->select(queue, context_fitting_up_to(4)),
@@ -81,7 +131,8 @@ TEST(AdmissionPolicy, FifoBlocksBehindWideHead) {
 
 TEST(AdmissionPolicy, BackfillSkipsBlockedHead) {
   const auto policy = make_policy(PolicyKind::kBackfill);
-  const std::vector<Job> queue = {job_of(0, 8), job_of(1, 2), job_of(2, 1)};
+  const std::vector<Job> jobs = {job_of(0, 8), job_of(1, 2), job_of(2, 1)};
+  const std::vector<const Job*> queue = queue_of(jobs);
   EXPECT_EQ(policy->select(queue, context_fitting_up_to(4)), 1u);
   EXPECT_EQ(policy->select(queue, context_fitting_up_to(1)), 2u);
   EXPECT_EQ(policy->select(queue, context_fitting_up_to(0)),
@@ -90,31 +141,31 @@ TEST(AdmissionPolicy, BackfillSkipsBlockedHead) {
 
 TEST(AdmissionPolicy, PriorityPicksHighestThenFifo) {
   const auto policy = make_policy(PolicyKind::kPriority);
-  const std::vector<Job> queue = {job_of(0, 2, 1), job_of(1, 2, 3),
-                                  job_of(2, 2, 3)};
+  const std::vector<Job> jobs = {job_of(0, 2, 1), job_of(1, 2, 3),
+                                 job_of(2, 2, 3)};
   // Highest priority wins; FIFO among equals (index 1, not 2).
-  EXPECT_EQ(policy->select(queue, context_fitting_up_to(8)), 1u);
+  EXPECT_EQ(policy->select(queue_of(jobs), context_fitting_up_to(8)), 1u);
   // Strict: if the chosen job does not fit, nobody runs.
   const std::vector<Job> blocked = {job_of(0, 2, 1), job_of(1, 8, 3)};
-  EXPECT_EQ(policy->select(blocked, context_fitting_up_to(4)),
+  EXPECT_EQ(policy->select(queue_of(blocked), context_fitting_up_to(4)),
             AdmissionPolicy::kNone);
 }
 
 TEST(AdmissionPolicy, WeightedFairPrefersStarvedTenant) {
   const auto policy = make_policy(PolicyKind::kWeightedFair);
-  const std::vector<Job> queue = {job_of(0, 2, 0, /*tenant=*/0),
-                                  job_of(1, 2, 0, /*tenant=*/1)};
+  const std::vector<Job> jobs = {job_of(0, 2, 0, /*tenant=*/0),
+                                 job_of(1, 2, 0, /*tenant=*/1)};
   AdmissionContext ctx = context_fitting_up_to(8);
   ctx.weighted_consumption = [](std::uint32_t tenant) {
     return tenant == 0 ? 100.0 : 1.0;  // tenant 0 has hogged the fabric
   };
-  EXPECT_EQ(policy->select(queue, ctx), 1u);
+  EXPECT_EQ(policy->select(queue_of(jobs), ctx), 1u);
   // Among fitting jobs only: the starved tenant's too-wide job is skipped
   // once only 4 wavelengths remain free.
   const std::vector<Job> mixed = {job_of(0, 2, 0, 0), job_of(1, 8, 0, 1)};
   AdmissionContext tight = context_fitting_up_to(4);
   tight.weighted_consumption = ctx.weighted_consumption;
-  EXPECT_EQ(policy->select(mixed, tight), 0u);
+  EXPECT_EQ(policy->select(queue_of(mixed), tight), 0u);
 }
 
 TEST(AdmissionPolicy, NamesRoundTrip) {
@@ -257,6 +308,69 @@ TEST(FabricService, LongLivedSimulatorResetsBetweenRuns) {
   }
   // The lifetime event counter kept counting across the reset.
   EXPECT_EQ(service.simulator().events_fired(), 2 * fired_once);
+}
+
+TEST(FabricService, PricesEveryJobShapeWithTheFastestFeasibleCandidate) {
+  // Shapes chosen so a price memo keyed on less than (num_nodes,
+  // elements, width) would hand some job another shape's price.
+  std::vector<Job> jobs;
+  const auto add = [&jobs](std::uint32_t nodes, std::size_t elements,
+                           std::uint32_t width, std::uint32_t iterations) {
+    Job job = job_of(jobs.size(), width);
+    job.num_nodes = nodes;
+    job.elements = elements;
+    job.iterations = iterations;
+    jobs.push_back(job);
+  };
+  add(8, 4096, 4, 1);
+  add(16, 4096, 4, 2);       // same (elements, width), other num_nodes
+  add(8, 1 << 20, 4, 3);     // same (num_nodes, width), other elements
+  add(8, 4096, 8, 1);        // same (num_nodes, elements), other width
+  add(8, 4096, 4, 5);        // repeats the first shape
+  add(32, 25'000'000, 16, 2);
+
+  ServiceConfig config;
+  config.fabric_wavelengths = 64;  // all fit at t=0, so grant == 0
+  FabricService service(config);
+  const ServiceReport first = service.run(jobs);
+  ASSERT_EQ(first.records.size(), jobs.size());
+
+  for (const JobRecord& r : first.records) {
+    plan::PlannerOptions options = config.planner;
+    options.wavelengths = r.job.width;
+    std::optional<std::pair<Seconds, plan::CandidateKind>> best;
+    for (const plan::CandidateKind kind :
+         {plan::CandidateKind::kWrht, plan::CandidateKind::kFlatAllToAll,
+          plan::CandidateKind::kStaticRing}) {
+      const plan::Candidate c =
+          plan::predict(kind, r.job.num_nodes, r.job.elements, options);
+      if (c.feasible && (!best || c.predicted_time < best->first)) {
+        best = {c.predicted_time, kind};
+      }
+    }
+    ASSERT_TRUE(best.has_value());
+    EXPECT_EQ(r.grant.count(), 0.0);
+    EXPECT_EQ(r.service_time().count(),
+              best->first.count() * r.job.iterations)
+        << "job " << r.job.id;
+    EXPECT_EQ(r.algorithm, best->second) << "job " << r.job.id;
+  }
+
+  // A second run on the same service reports the same, bit for bit.
+  const ServiceReport second = service.run(jobs);
+  EXPECT_EQ(second.to_string(), first.to_string());
+  ASSERT_EQ(second.records.size(), first.records.size());
+  for (std::size_t i = 0; i < first.records.size(); ++i) {
+    const JobRecord& a = first.records[i];
+    const JobRecord& b = second.records[i];
+    EXPECT_EQ(a.job.id, b.job.id);
+    EXPECT_EQ(a.lease, b.lease);
+    EXPECT_EQ(a.algorithm, b.algorithm);
+    EXPECT_EQ(a.grant.count(), b.grant.count());
+    EXPECT_EQ(a.completion.count(), b.completion.count());
+  }
+  EXPECT_EQ(first.utilization, second.utilization);
+  EXPECT_EQ(first.mean_queue_wait.count(), second.mean_queue_wait.count());
 }
 
 TEST(FabricService, CountersAndValidation) {
