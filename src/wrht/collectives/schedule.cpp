@@ -74,6 +74,12 @@ void Schedule::rescale_elements(std::size_t new_elements) {
   elements_ = new_elements;
 }
 
+std::size_t Schedule::num_transfers() const {
+  std::size_t total = 0;
+  for (const auto& step : steps_) total += step.transfers.size();
+  return total;
+}
+
 std::uint64_t Schedule::total_traffic_elements() const {
   std::uint64_t total = 0;
   for (const auto& step : steps_) {
@@ -104,7 +110,9 @@ void Schedule::validate() const {
         throw InvalidArgument("Schedule: self-transfer in step " +
                               std::to_string(s));
       }
-      if (t.count < 1 || t.offset + t.count > elements_) {
+      // offset + count could wrap; compare against what remains instead.
+      if (t.count < 1 || t.count > elements_ ||
+          t.offset > elements_ - t.count) {
         throw InvalidArgument("Schedule: element range out of bounds in step " +
                               std::to_string(s));
       }

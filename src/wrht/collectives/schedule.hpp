@@ -141,6 +141,9 @@ class Schedule {
   /// schedule is not full-vector.
   void rescale_elements(std::size_t new_elements);
 
+  /// Number of transfers over all steps.
+  [[nodiscard]] std::size_t num_transfers() const;
+
   /// Sum of element counts over all transfers (total traffic in elements).
   [[nodiscard]] std::uint64_t total_traffic_elements() const;
 

@@ -5,7 +5,6 @@
 #include "wrht/common/error.hpp"
 #include "wrht/net/backend.hpp"
 #include "wrht/net/pattern_key.hpp"
-#include "wrht/obs/occupancy.hpp"
 #include "wrht/obs/transfer_log.hpp"
 
 namespace wrht::elec {
@@ -18,6 +17,66 @@ std::vector<double> link_capacities(const topo::FatTree& tree,
 }
 
 }  // namespace
+
+LinkResources::LinkResources(obs::OccupancySampler* sampler,
+                             std::size_t num_links)
+    : sampler_(sampler) {
+  if (sampler_ != nullptr) refs_.assign(num_links, UINT32_MAX);
+}
+
+obs::OccupancySampler::ResourceRef LinkResources::operator[](LinkId link) {
+  obs::OccupancySampler::ResourceRef& ref = refs_[link];
+  if (ref == UINT32_MAX) {
+    ref = sampler_->resource("link" + std::to_string(link));
+  }
+  return ref;
+}
+
+void open_fabric_log(const obs::Probe& probe, const char* backend,
+                     const coll::Schedule& schedule) {
+  if (probe.transfers == nullptr) return;
+  obs::TransferLog::Context context;
+  context.backend = backend;
+  context.reconfig_policy = "none";
+  probe.transfers->set_context(std::move(context));
+  probe.transfers->reserve_transfers(schedule.num_transfers());
+}
+
+void log_fabric_step(const obs::Probe& probe, std::uint32_t step_index,
+                     const coll::Step& step, double start, double duration,
+                     double processing, std::span<const double> done) {
+  if (probe.transfers == nullptr) return;
+  obs::StepTrace step_trace;
+  step_trace.step = step_index;
+  step_trace.label =
+      step.label.empty() ? "step " + std::to_string(step_index) : step.label;
+  step_trace.start = Seconds(start);
+  step_trace.duration = Seconds(duration);
+  probe.transfers->step(std::move(step_trace));
+
+  obs::RoundTrace round;
+  round.step = step_index;
+  round.lane = "fabric";
+  round.round = 0;
+  round.start = Seconds(start);
+  round.processing = Seconds(processing);
+  round.serialization = Seconds(duration - processing);
+  round.duration = Seconds(duration);
+  round.retune = false;
+  const std::uint32_t round_index = probe.transfers->round(std::move(round));
+
+  for (std::size_t i = 0; i < step.transfers.size(); ++i) {
+    const coll::Transfer& t = step.transfers[i];
+    obs::TransferTrace trace;
+    trace.round_index = round_index;
+    trace.src = t.src;
+    trace.dst = t.dst;
+    trace.elements = t.count;
+    trace.start = Seconds(start);
+    trace.duration = Seconds(done[i]);
+    probe.transfers->transfer(trace);
+  }
+}
 
 FatTreeNetwork::FatTreeNetwork(std::uint32_t num_hosts,
                                ElectricalConfig config)
@@ -90,13 +149,8 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
   result.steps = schedule.num_steps();
   result.step_times.reserve(schedule.num_steps());
 
-  const bool blame = probe.transfers != nullptr;
-  if (blame) {
-    obs::TransferLog::Context context;
-    context.backend = "electrical-flow";
-    context.reconfig_policy = "none";
-    probe.transfers->set_context(std::move(context));
-  }
+  open_fabric_log(probe, "electrical-flow", schedule);
+  LinkResources links(probe.occupancy, tree_.num_links());
   double now = 0.0;
   std::size_t step_index = 0;
   for (const auto& step : schedule.steps()) {
@@ -109,13 +163,11 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
     // Direction hints are optical-only; hint-variants of one (src, dst)
     // pattern share a cache entry here.
     const std::uint64_t sig = net::step_signature(step, false);
-    StepTiming timing{};
-    if (const auto it = pattern_cache_.find(sig); it != pattern_cache_.end()) {
-      timing = it->second;
-    } else {
-      timing = evaluate_step(step);
-      pattern_cache_.emplace(sig, timing);
+    auto it = pattern_cache_.find(sig);
+    if (it == pattern_cache_.end()) {
+      it = pattern_cache_.emplace(sig, evaluate_step(step)).first;
     }
+    const StepTiming& timing = it->second;
     result.total_flows += step.transfers.size();
     result.max_link_load = std::max(result.max_link_load, timing.max_link_load);
     result.step_times.emplace_back(timing.seconds);
@@ -141,21 +193,9 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
       probe.counter_sample("max link load", Seconds(now),
                            static_cast<double>(timing.max_link_load));
     }
-    // Blame timeline: one single-round "fabric" lane per step; the step
-    // splits into the bounding flow's router processing and the rest as
-    // transmission (no reconfigurable optics, so retune is false and the
-    // reconfiguration component zero).
-    if (blame) {
-      const auto step_id = static_cast<std::uint32_t>(step_index);
-      obs::StepTrace step_trace;
-      step_trace.step = step_id;
-      step_trace.label = step.label.empty()
-                             ? "step " + std::to_string(step_index)
-                             : step.label;
-      step_trace.start = Seconds(now);
-      step_trace.duration = Seconds(timing.seconds);
-      probe.transfers->step(std::move(step_trace));
-
+    // Blame timeline: the step's router processing is the bounding
+    // flow's; the rest is transmission.
+    if (probe.transfers != nullptr) {
       double processing = 0.0;
       double bounding = -1.0;
       for (std::size_t i = 0; i < timing.completion.size(); ++i) {
@@ -164,37 +204,13 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
           processing = timing.extra_latency[i];
         }
       }
-      obs::RoundTrace round;
-      round.step = step_id;
-      round.lane = "fabric";
-      round.round = 0;
-      round.start = Seconds(now);
-      round.processing = Seconds(processing);
-      round.serialization = Seconds(timing.seconds - processing);
-      round.duration = Seconds(timing.seconds);
-      round.retune = false;
-      probe.transfers->round(std::move(round));
-
-      for (std::size_t i = 0; i < step.transfers.size(); ++i) {
-        const coll::Transfer& t = step.transfers[i];
-        obs::TransferTrace trace;
-        trace.step = step_id;
-        trace.lane = "fabric";
-        trace.round = 0;
-        trace.src = t.src;
-        trace.dst = t.dst;
-        trace.elements = t.count;
-        trace.start = Seconds(now);
-        trace.duration = Seconds(
-            i < timing.completion.size() ? timing.completion[i] : 0.0);
-        probe.transfers->transfer(std::move(trace));
-      }
+      log_fabric_step(probe, static_cast<std::uint32_t>(step_index), step,
+                      now, timing.seconds, processing, timing.completion);
     }
     if (probe.occupancy != nullptr) {
       const auto step_id = static_cast<std::uint32_t>(step_index);
       for (const LinkOcc& occ : timing.link_occ) {
-        const auto ref =
-            probe.occupancy->resource("link" + std::to_string(occ.link));
+        const auto ref = links[occ.link];
         probe.occupancy->record(ref, step_id, Seconds(now),
                                 Seconds(occ.busy_s),
                                 obs::OccCategory::kTransmission, occ.load);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "wrht/electrical/flow_sim.hpp"
 #include "wrht/net/rate_convention.hpp"
 #include "wrht/net/resource_lease.hpp"
+#include "wrht/obs/occupancy.hpp"
 #include "wrht/obs/run_report.hpp"
 #include "wrht/obs/trace.hpp"
 #include "wrht/topo/fat_tree.hpp"
@@ -82,6 +84,34 @@ struct ElectricalConfig {
     return *this;
   }
 };
+
+/// Occupancy handles of the fabric's directed links ("link<id>"), resolved
+/// on first use so resources register in the order a run touches them.
+class LinkResources {
+ public:
+  /// Resolves nothing while `sampler` is null.
+  LinkResources(obs::OccupancySampler* sampler, std::size_t num_links);
+
+  [[nodiscard]] obs::OccupancySampler::ResourceRef operator[](LinkId link);
+
+ private:
+  obs::OccupancySampler* sampler_;
+  std::vector<obs::OccupancySampler::ResourceRef> refs_;
+};
+
+/// Stamps the TransferLog (when attached) with an electrical run's
+/// provenance and reserves one TransferTrace per schedule transfer.
+void open_fabric_log(const obs::Probe& probe, const char* backend,
+                     const coll::Schedule& schedule);
+
+/// Logs a non-empty step (when a TransferLog is attached) as one round on
+/// a single "fabric" lane. With no reconfigurable optics the round never
+/// retunes and splits into `processing` (the bounding flow's router
+/// delay) and transmission. `done` holds each transfer's completion
+/// relative to `start`, in transfer order.
+void log_fabric_step(const obs::Probe& probe, std::uint32_t step_index,
+                     const coll::Step& step, double start, double duration,
+                     double processing, std::span<const double> done);
 
 struct ElectricalRunResult {
   Seconds total_time{0.0};

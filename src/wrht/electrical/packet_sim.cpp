@@ -1,13 +1,13 @@
 #include "wrht/electrical/packet_sim.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
 #include "wrht/common/error.hpp"
 #include "wrht/net/backend.hpp"
 #include "wrht/obs/occupancy.hpp"
-#include "wrht/obs/transfer_log.hpp"
 #include "wrht/prof/prof.hpp"
-#include "wrht/sim/simulator.hpp"
 
 namespace wrht::elec {
 
@@ -26,8 +26,42 @@ namespace {
 struct Packet {
   std::uint32_t route_index = 0;  ///< into the per-transfer route table
   std::uint32_t hop = 0;          ///< next link to traverse
-  double bytes = 0.0;             ///< this payload (last may be short)
+  double tx = 0.0;  ///< serialization time (the last packet may be short)
 };
+
+/// A scheduled arrival of `packet` at the input queue of its next link.
+/// `seq` numbers arrivals in scheduling order and breaks time ties.
+struct Arrival {
+  double time;
+  std::uint32_t seq;
+  std::uint32_t packet;
+};
+
+/// A busy link's earliest pending arrival, keyed like the arrival itself.
+struct Head {
+  double time;
+  std::uint32_t seq;
+  std::uint32_t link;
+  // Bitwise, not short-circuit: time ties are common (every host sends
+  // in lockstep), so branching on them mispredicts.
+  bool operator>(const Head& other) const {
+    return (time > other.time) | ((time == other.time) & (seq > other.seq));
+  }
+};
+
+/// Restores the min-heap order after `heap[0]` was replaced.
+void sift_down(std::vector<Head>& heap) {
+  const std::size_t n = heap.size();
+  const Head moving = heap[0];
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n) child += heap[child] > heap[child + 1] ? 1 : 0;
+    if (!(moving > heap[child])) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = moving;
+}
 
 }  // namespace
 
@@ -35,51 +69,86 @@ double PacketLevelNetwork::simulate_step(const coll::Step& step,
                                          std::uint64_t& packets,
                                          std::uint64_t& events,
                                          const obs::Probe& probe,
+                                         LinkResources& links,
                                          double step_start,
                                          std::uint32_t step_index,
                                          std::vector<double>* transfer_done)
     const {
-  sim::Simulator simulator;
-  simulator.set_counters(probe.counters);
-  std::vector<double> next_free(tree_.num_links(), 0.0);
+  const std::size_t num_links = tree_.num_links();
+  std::vector<double> next_free(num_links, 0.0);
   const double rate = config_.bytes_per_second();
   const double router_delay = config_.router_delay.count();
   const double packet_bytes =
       static_cast<double>(config_.packet_size.count());
   double makespan = 0.0;
 
-  // Dense link -> sampler handle map, resolved lazily; the sampler
-  // coalesces the back-to-back per-packet slices a busy link produces.
-  std::vector<obs::OccupancySampler::ResourceRef> link_refs;
-  if (probe.occupancy != nullptr) {
-    link_refs.assign(tree_.num_links(), UINT32_MAX);
-  }
-  const auto link_ref = [&](topo::LinkId link) {
-    if (link_refs[link] == UINT32_MAX) {
-      link_refs[link] =
-          probe.occupancy->resource("link" + std::to_string(link));
-    }
-    return link_refs[link];
-  };
-
-  // Packets live in a pool indexed by id and share one route per transfer,
-  // so event lambdas capture {&arrive, index} — 16 bytes, inside
-  // libstdc++'s std::function small buffer — instead of a shared_ptr whose
-  // 24-byte capture heap-allocates every event.
+  // Every packet fires one event per link of its route. Bounding that
+  // count (over-estimated by at most one packet per transfer) by 2^32
+  // keeps packet ids and arrival sequence numbers 32-bit.
   std::vector<std::vector<topo::LinkId>> routes;
   routes.reserve(step.transfers.size());
-  std::vector<Packet> pool;
+  std::size_t estimated = 0;
+  std::uint64_t event_bound = 0;
+  for (const auto& t : step.transfers) {
+    routes.push_back(tree_.route(t.src, t.dst).links);
+    const double bytes =
+        static_cast<double>(t.count) * config_.bytes_per_element;
+    if (bytes > 0.0) {
+      const auto n = static_cast<std::size_t>(bytes / packet_bytes) + 1;
+      estimated += n;
+      event_bound += static_cast<std::uint64_t>(n) * routes.back().size();
+    }
+  }
+  if (event_bound > UINT32_MAX) {
+    throw InvalidArgument("PacketLevelNetwork: step " +
+                          std::to_string(step_index) +
+                          " has more packet events than a 32-bit index holds");
+  }
 
-  // Arrival of packet `pi` at the input queue of its next link.
-  std::function<void(std::size_t)> arrive = [&](std::size_t pi) {
+  std::vector<Packet> pool;
+  pool.reserve(estimated);
+  // Arrivals each link's departures schedule, laid out link by link.
+  std::vector<std::uint32_t> fifo_begin(num_links + 1, 0);
+  for (std::size_t ti = 0; ti < step.transfers.size(); ++ti) {
+    const std::size_t first = pool.size();
+    double remaining = static_cast<double>(step.transfers[ti].count) *
+                       config_.bytes_per_element;
+    while (remaining > 0.0) {
+      const double bytes = std::min(remaining, packet_bytes);
+      Packet& packet = pool.emplace_back();
+      packet.route_index = static_cast<std::uint32_t>(ti);
+      packet.tx = bytes / rate;
+      remaining -= bytes;
+    }
+    const auto sent = static_cast<std::uint32_t>(pool.size() - first);
+    const std::vector<topo::LinkId>& route = routes[ti];
+    for (std::size_t h = 0; h + 1 < route.size(); ++h) {
+      fifo_begin[route[h] + 1] += sent;
+    }
+  }
+  packets += pool.size();
+  for (std::size_t l = 0; l < num_links; ++l) {
+    fifo_begin[l + 1] += fifo_begin[l];
+  }
+  std::vector<Arrival> arrivals(fifo_begin[num_links]);
+  std::vector<std::uint32_t> fifo_head(fifo_begin.begin(),
+                                       fifo_begin.end() - 1);
+  std::vector<std::uint32_t> fifo_tail = fifo_head;
+  std::vector<Head> heap;
+  std::uint32_t next_seq = 0;
+  double now = 0.0;
+
+  // Packet `pi` reaches the input queue of its next link at `now`.
+  const auto arrive = [&](std::uint32_t pi) {
     Packet& packet = pool[pi];
     const std::vector<topo::LinkId>& route = routes[packet.route_index];
     const topo::LinkId link = route[packet.hop];
-    const double now = simulator.now().count();
     const double tx_start = std::max(now, next_free[link]);
-    const double depart = tx_start + packet.bytes / rate;
+    const double depart = tx_start + packet.tx;
     if (probe.occupancy != nullptr) {
-      probe.occupancy->record(link_ref(link), step_index,
+      // The sampler coalesces the back-to-back per-packet slices a busy
+      // link produces.
+      probe.occupancy->record(links[link], step_index,
                               Seconds(step_start + tx_start),
                               Seconds(depart - tx_start),
                               obs::OccCategory::kTransmission);
@@ -88,8 +157,12 @@ double PacketLevelNetwork::simulate_step(const coll::Step& step,
     ++packet.hop;
     if (packet.hop < route.size()) {
       // Entering the next router: store-and-forward processing delay.
-      simulator.schedule_at(Seconds(depart + router_delay),
-                            [&arrive, pi] { arrive(pi); });
+      const Arrival next{depart + router_delay, next_seq++, pi};
+      if (fifo_head[link] == fifo_tail[link]) {
+        heap.push_back(Head{next.time, next.seq, link});
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+      }
+      arrivals[fifo_tail[link]++] = next;
     } else {
       makespan = std::max(makespan, depart);
       if (transfer_done != nullptr) {
@@ -102,46 +175,41 @@ double PacketLevelNetwork::simulate_step(const coll::Step& step,
     transfer_done->assign(step.transfers.size(), 0.0);
   }
 
-  std::size_t estimated = 0;
-  for (const auto& t : step.transfers) {
-    const double bytes =
-        static_cast<double>(t.count) * config_.bytes_per_element;
-    if (bytes > 0.0) {
-      estimated += static_cast<std::size_t>(bytes / packet_bytes) + 1;
-    }
-  }
-  pool.reserve(estimated);
-  simulator.reserve_events(estimated);
-
-  for (const auto& t : step.transfers) {
-    auto route = tree_.route(t.src, t.dst);
-    const auto route_index = static_cast<std::uint32_t>(routes.size());
-    routes.push_back(std::move(route.links));
-    double remaining =
-        static_cast<double>(t.count) * config_.bytes_per_element;
-    while (remaining > 0.0) {
-      const std::size_t pi = pool.size();
-      Packet& packet = pool.emplace_back();
-      packet.route_index = route_index;
-      packet.bytes = std::min(remaining, packet_bytes);
-      remaining -= packet.bytes;
-      ++packets;
-      simulator.schedule_at(Seconds(0.0), [&arrive, pi] { arrive(pi); });
-    }
-  }
-
   {
     // Host-side phase accounting for the per-step packet DES drain.
     const prof::ScopedTimer timer("electrical.des.run");
-    simulator.run();
+    // Injection burst: every packet enters its first link at t = 0, in
+    // packet-id order, before any arrival (those all come later).
+    for (std::uint32_t pi = 0; pi < pool.size(); ++pi) arrive(pi);
+    // A link departs in non-decreasing time and sequence numbers grow, so
+    // each link's FIFO is sorted by (time, seq) and the least FIFO head is
+    // the least pending arrival: events fire in global (time, seq) order.
+    while (!heap.empty()) {
+      const topo::LinkId link = heap.front().link;
+      const Arrival event = arrivals[fifo_head[link]++];
+      if (fifo_head[link] == fifo_tail[link]) {
+        heap.front() = heap.back();
+        heap.pop_back();
+      } else {
+        const Arrival& head = arrivals[fifo_head[link]];
+        heap.front() = Head{head.time, head.seq, link};
+      }
+      if (!heap.empty()) sift_down(heap);
+      require(event.time >= now,
+              "PacketLevelNetwork: event fired before current time");
+      now = event.time;
+      arrive(event.packet);
+    }
   }
-  events += simulator.events_fired();
+  const std::uint64_t fired = pool.size() + next_seq;
+  events += fired;
+  if (probe.counters != nullptr) probe.counters->add("sim.events_fired", fired);
   // Links that went quiet before the step's last packet drained are in
   // straggler wait; untouched links remain unaccounted (idle).
   if (probe.occupancy != nullptr) {
-    for (topo::LinkId l = 0; l < tree_.num_links(); ++l) {
+    for (topo::LinkId l = 0; l < num_links; ++l) {
       if (next_free[l] <= 0.0) continue;
-      probe.occupancy->record(link_ref(l), step_index,
+      probe.occupancy->record(links[l], step_index,
                               Seconds(step_start + next_free[l]),
                               Seconds(makespan - next_free[l]),
                               obs::OccCategory::kStragglerWait);
@@ -165,13 +233,9 @@ PacketRunResult PacketLevelNetwork::execute(const coll::Schedule& schedule,
   result.steps = schedule.num_steps();
   result.step_times.reserve(schedule.num_steps());
   const bool blame = probe.transfers != nullptr;
-  if (blame) {
-    obs::TransferLog::Context context;
-    context.backend = "electrical-packet";
-    context.reconfig_policy = "none";
-    probe.transfers->set_context(std::move(context));
-  }
+  open_fabric_log(probe, "electrical-packet", schedule);
   std::vector<double> transfer_done;
+  LinkResources links(probe.occupancy, tree_.num_links());
   double total = 0.0;
   std::size_t step_index = 0;
   for (const auto& step : schedule.steps()) {
@@ -181,47 +245,15 @@ PacketRunResult PacketLevelNetwork::execute(const coll::Schedule& schedule,
         step.transfers.empty()
             ? 0.0
             : simulate_step(step, result.total_packets, result.events_fired,
-                            probe, total,
+                            probe, links, total,
                             static_cast<std::uint32_t>(step_index),
                             blame ? &transfer_done : nullptr);
     probe.count("packet.packets", result.total_packets - packets_before);
-    // Blame timeline: one single-round "fabric" lane per step (the packet
-    // model has no reconfigurable optics; the whole step is transmission).
+    // Blame timeline: the packet model has no processing split; the
+    // whole step is transmission.
     if (blame && !step.transfers.empty()) {
-      const auto step_id = static_cast<std::uint32_t>(step_index);
-      obs::StepTrace step_trace;
-      step_trace.step = step_id;
-      step_trace.label = step.label.empty()
-                             ? "step " + std::to_string(step_index)
-                             : step.label;
-      step_trace.start = Seconds(total);
-      step_trace.duration = Seconds(t);
-      probe.transfers->step(std::move(step_trace));
-
-      obs::RoundTrace round;
-      round.step = step_id;
-      round.lane = "fabric";
-      round.round = 0;
-      round.start = Seconds(total);
-      round.serialization = Seconds(t);
-      round.duration = Seconds(t);
-      round.retune = false;
-      probe.transfers->round(std::move(round));
-
-      for (std::size_t i = 0; i < step.transfers.size(); ++i) {
-        const coll::Transfer& tr = step.transfers[i];
-        obs::TransferTrace trace;
-        trace.step = step_id;
-        trace.lane = "fabric";
-        trace.round = 0;
-        trace.src = tr.src;
-        trace.dst = tr.dst;
-        trace.elements = tr.count;
-        trace.start = Seconds(total);
-        trace.duration =
-            Seconds(i < transfer_done.size() ? transfer_done[i] : 0.0);
-        probe.transfers->transfer(std::move(trace));
-      }
+      log_fabric_step(probe, static_cast<std::uint32_t>(step_index), step,
+                      total, t, 0.0, transfer_done);
     }
     if (probe.trace != nullptr && !step.transfers.empty()) {
       obs::TraceSpan span;

@@ -6,6 +6,11 @@
 // rate, and pay the router processing delay at each router. Packet-level
 // runs are the ground truth the fluid model approximates; the test suite
 // cross-validates the two on small configurations.
+//
+// Events (one per packet per link) fire in global (time, sequence) order,
+// drawn from per-link FIFO streams rather than one event heap: a link
+// departs in non-decreasing time, so the arrivals each link schedules are
+// already sorted, and a small heap over the busy links' heads merges them.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +61,7 @@ class PacketLevelNetwork {
                                      std::uint64_t& packets,
                                      std::uint64_t& events,
                                      const obs::Probe& probe,
+                                     LinkResources& links,
                                      double step_start,
                                      std::uint32_t step_index,
                                      std::vector<double>* transfer_done) const;

@@ -49,14 +49,47 @@ UtilizationAnalysis analyze_utilization(const RunReport& report,
   const std::size_t num_steps = report.step_reports.size();
   const std::size_t num_res = sampler.num_resources();
 
-  // acc[step * num_res + resource][category] = accounted seconds.
-  std::vector<CategoryTimes> acc(num_steps * num_res, CategoryTimes{});
+  // One pass per resource, in ascending order, folds its per-step times
+  // into the step accumulators: the same additions in the same order as a
+  // steps x resources matrix, without holding one.
+  std::vector<CategoryTimes> mean(num_steps, CategoryTimes{});
+  std::vector<std::size_t> critical(num_steps, num_res);  // none observed
+  std::vector<double> critical_accounted(num_steps, -1.0);
+  std::vector<double> critical_transmission(num_steps, 0.0);
+  std::vector<CategoryTimes> scratch(num_steps, CategoryTimes{});
+  constexpr auto kTx = static_cast<std::size_t>(OccCategory::kTransmission);
+  out.resources.reserve(num_res);
   for (std::size_t r = 0; r < num_res; ++r) {
-    for (const OccInterval& i : sampler.intervals(static_cast<std::uint32_t>(r))) {
-      if (i.step >= num_steps) continue;
-      acc[i.step * num_res + r][static_cast<std::size_t>(i.category)] +=
-          i.duration.count();
+    const auto ref = static_cast<std::uint32_t>(r);
+    CategoryTimes total{};
+    for (const OccInterval& i : sampler.intervals(ref)) {
+      const auto c = static_cast<std::size_t>(i.category);
+      total[c] += i.duration.count();
+      if (i.step < num_steps) scratch[i.step][c] += i.duration.count();
     }
+    for (std::size_t s = 0; s < num_steps; ++s) {
+      CategoryTimes& t = scratch[s];
+      double accounted = 0.0;
+      for (std::size_t c = 0; c < kOccCategoryCount; ++c) {
+        mean[s][c] += t[c];
+        accounted += t[c];
+      }
+      if (accounted > critical_accounted[s]) {
+        critical_accounted[s] = accounted;
+        critical[s] = r;
+        critical_transmission[s] = t[kTx];
+      }
+      t = CategoryTimes{};
+    }
+
+    ResourceUtilization u;
+    u.name = sampler.name(ref);
+    u.breakdown = from_categories(total, report.total_time.count());
+    if (report.total_time.count() > 0.0) {
+      u.utilization = u.breakdown.transmission.count() /
+                      report.total_time.count();
+    }
+    out.resources.push_back(std::move(u));
   }
 
   out.step_breakdowns.reserve(num_steps);
@@ -67,35 +100,19 @@ UtilizationAnalysis analyze_utilization(const RunReport& report,
 
     // Mean over all observed resources; idle is the complement, so the
     // breakdown totals the step duration exactly.
-    CategoryTimes mean{};
-    std::size_t critical = num_res;  // sentinel: nothing observed
-    double critical_accounted = -1.0;
-    for (std::size_t r = 0; r < num_res; ++r) {
-      const CategoryTimes& t = acc[s * num_res + r];
-      double accounted = 0.0;
-      for (std::size_t c = 0; c < kOccCategoryCount; ++c) {
-        mean[c] += t[c];
-        accounted += t[c];
-      }
-      if (accounted > critical_accounted) {
-        critical_accounted = accounted;
-        critical = r;
-      }
-    }
     if (num_res > 0) {
-      for (double& c : mean) c /= static_cast<double>(num_res);
+      for (double& c : mean[s]) c /= static_cast<double>(num_res);
     }
-    out.step_breakdowns.push_back(from_categories(mean, step.duration.count()));
+    out.step_breakdowns.push_back(
+        from_categories(mean[s], step.duration.count()));
 
     CriticalPathEntry edge;
     edge.step = static_cast<std::uint32_t>(s);
     edge.label = step.label;
     edge.duration = step.duration;
-    if (critical < num_res) {
-      edge.resource = sampler.name(static_cast<std::uint32_t>(critical));
-      edge.transmission = Seconds(
-          acc[s * num_res + critical]
-             [static_cast<std::size_t>(OccCategory::kTransmission)]);
+    if (critical[s] < num_res) {
+      edge.resource = sampler.name(static_cast<std::uint32_t>(critical[s]));
+      edge.transmission = Seconds(critical_transmission[s]);
     } else {
       edge.resource = "(unobserved)";
     }
@@ -111,23 +128,6 @@ UtilizationAnalysis analyze_utilization(const RunReport& report,
   }
   if (out.critical_path_length.count() > 0.0) {
     out.slack_free_fraction = slack_free / out.critical_path_length.count();
-  }
-
-  out.resources.reserve(num_res);
-  for (std::size_t r = 0; r < num_res; ++r) {
-    ResourceUtilization u;
-    const auto ref = static_cast<std::uint32_t>(r);
-    u.name = sampler.name(ref);
-    CategoryTimes t{};
-    for (const OccInterval& i : sampler.intervals(ref)) {
-      t[static_cast<std::size_t>(i.category)] += i.duration.count();
-    }
-    u.breakdown = from_categories(t, report.total_time.count());
-    if (report.total_time.count() > 0.0) {
-      u.utilization = u.breakdown.transmission.count() /
-                      report.total_time.count();
-    }
-    out.resources.push_back(std::move(u));
   }
 
   return out;

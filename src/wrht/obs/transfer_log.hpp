@@ -59,16 +59,16 @@ struct RoundTrace {
   bool retune = true;
 };
 
-/// One transfer inside a round, with its routing assignment.
+/// One transfer inside a round, with its routing assignment. The round
+/// (and through it the step and lane) is stated once, by index, so the
+/// record stays a fixed-size plain value (48 bytes).
 struct TransferTrace {
-  std::uint32_t step = 0;
-  std::string lane;
-  std::uint32_t round = 0;
+  std::uint32_t round_index = 0;  ///< into TransferLog::rounds()
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
-  std::uint64_t elements = 0;
   std::uint32_t wavelength = 0;
   std::uint8_t direction = 0;  ///< engine-specific (ring: 0 cw, 1 ccw)
+  std::uint64_t elements = 0;
   Seconds start{0.0};
   Seconds duration{0.0};
 };
@@ -91,8 +91,16 @@ class TransferLog {
   [[nodiscard]] const Context& context() const { return context_; }
 
   void step(StepTrace s) { steps_.push_back(std::move(s)); }
-  void round(RoundTrace r) { rounds_.push_back(std::move(r)); }
-  void transfer(TransferTrace t) { transfers_.push_back(std::move(t)); }
+  /// Appends a round and returns its index, for its TransferTraces.
+  std::uint32_t round(RoundTrace r) {
+    rounds_.push_back(std::move(r));
+    return static_cast<std::uint32_t>(rounds_.size() - 1);
+  }
+  void transfer(const TransferTrace& t) { transfers_.push_back(t); }
+  /// Room for `n` more transfers; engines pass the schedule's count.
+  void reserve_transfers(std::size_t n) {
+    transfers_.reserve(transfers_.size() + n);
+  }
 
   [[nodiscard]] const std::vector<StepTrace>& steps() const { return steps_; }
   [[nodiscard]] const std::vector<RoundTrace>& rounds() const {

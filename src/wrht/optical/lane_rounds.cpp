@@ -128,15 +128,13 @@ void emit_lane_rounds(const obs::Probe& probe, const OpticalConfig& config,
       trace.serialization = priced.serialization;
       trace.duration = round.duration;
       trace.retune = round.retune;
-      log->round(std::move(trace));
+      const std::uint32_t round_index = log->round(std::move(trace));
 
       const Seconds payload_start = cursor + round.reconfig + config.oeo_delay;
       for (const TransferRoute& route : priced.routes) {
         const coll::Transfer& t = transfers[route.index];
         obs::TransferTrace transfer;
-        transfer.step = slot.step;
-        transfer.lane = slot.name;
-        transfer.round = static_cast<std::uint32_t>(r);
+        transfer.round_index = round_index;
         transfer.src = t.src;
         transfer.dst = t.dst;
         transfer.elements = t.count;
@@ -144,7 +142,7 @@ void emit_lane_rounds(const obs::Probe& probe, const OpticalConfig& config,
         transfer.direction = route.direction;
         transfer.start = payload_start;
         transfer.duration = config.serialization_time(t.count);
-        log->transfer(std::move(transfer));
+        log->transfer(transfer);
       }
     }
     cursor = round_end;
@@ -156,8 +154,10 @@ void emit_lane_rounds(const obs::Probe& probe, const OpticalConfig& config,
 }
 
 void open_transfer_log(const obs::Probe& probe, const char* backend,
-                       const OpticalConfig& config) {
+                       const OpticalConfig& config,
+                       const coll::Schedule& schedule) {
   if (probe.transfers == nullptr) return;
+  probe.transfers->reserve_transfers(schedule.num_transfers());
   obs::TransferLog::Context context;
   context.backend = backend;
   context.reconfig_policy = net::to_string(config.reconfig_policy);

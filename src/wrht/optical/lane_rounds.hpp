@@ -91,9 +91,11 @@ void emit_lane_rounds(const obs::Probe& probe, const OpticalConfig& config,
                       std::span<const net::RoundPricer::Round> rounds,
                       std::span<const coll::Transfer> transfers);
 
-/// Stamps the TransferLog (when attached) with the run's provenance.
+/// Stamps the TransferLog (when attached) with the run's provenance and
+/// reserves room for one TransferTrace per transfer of `schedule`.
 void open_transfer_log(const obs::Probe& probe, const char* backend,
-                       const OpticalConfig& config);
+                       const OpticalConfig& config,
+                       const coll::Schedule& schedule);
 
 /// One StepTrace for a non-empty step (when a TransferLog is attached).
 void emit_step_trace(const obs::Probe& probe, std::uint32_t step_index,

@@ -137,7 +137,7 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   require(schedule.num_nodes() <= ring_.size(),
           "RingNetwork: schedule spans more nodes than the ring");
   schedule.validate();
-  open_transfer_log(probe, "optical-ring", config_);
+  open_transfer_log(probe, "optical-ring", config_, schedule);
   warm_pattern_cache(schedule);
 
   OpticalRunResult result;
@@ -155,7 +155,11 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   // round's, carried across steps. It runs only when something reads it:
   // retune-aware pricing, or the TransferLog's per-round retune flags.
   const bool walk_retunes = pricer.retune_aware() || probe.transfers != nullptr;
-  TuningState previous_tuning;
+  // The previous round's state lives in its pattern; only a pattern in the
+  // `uncached` slot, which the next step overwrites, is copied out.
+  const TuningState initial_tuning;
+  TuningState carried_tuning;
+  const TuningState* previous_tuning = &initial_tuning;
   CachedPattern uncached;  // empty steps and random-fit patterns
   std::vector<net::RoundPricer::Round> rounds;
 
@@ -174,8 +178,8 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
       bool retune = true;
       if (walk_retunes) {
         const std::size_t retuned =
-            previous_tuning.retune_count(pattern.tunings[r]);
-        previous_tuning = pattern.tunings[r];
+            previous_tuning->retune_count(pattern.tunings[r]);
+        previous_tuning = &pattern.tunings[r];
         retune = retuned > 0;
         if (retune && pricer.retune_aware()) {
           result.retuned_mrrs += retuned;
@@ -184,6 +188,10 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
       }
       rounds.push_back(pricer.price(priced.rounds[r].serialization, retune));
       duration += rounds.back().duration;
+    }
+    if (walk_retunes && &pattern == &uncached && !pattern.tunings.empty()) {
+      carried_tuning = pattern.tunings.back();
+      previous_tuning = &carried_tuning;
     }
     probe.count("optical.reconfig_charges", pricer.charges() - charges_before);
 

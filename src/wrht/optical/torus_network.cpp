@@ -38,7 +38,7 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
   result.steps = schedule.num_steps();
   result.step_costs.reserve(schedule.num_steps());
 
-  open_transfer_log(probe, "optical-torus", config_);
+  open_transfer_log(probe, "optical-torus", config_, schedule);
   const bool observed =
       probe.occupancy != nullptr || probe.transfers != nullptr;
   Seconds now(0.0);

@@ -36,12 +36,6 @@ void EventQueue::clear() {
   live_count_ = 0;
 }
 
-void EventQueue::reserve(std::size_t n) {
-  heap_.reserve(n);
-  callbacks_.reserve(n);
-  cancelled_.reserve(n);
-}
-
 void EventQueue::drop_cancelled() const {
   while (!heap_.empty() && cancelled_[heap_.front().id]) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());

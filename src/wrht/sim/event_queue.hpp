@@ -30,10 +30,6 @@ class EventQueue {
   /// storage; ids from before the clear are no longer valid.
   void clear();
 
-  /// Pre-sizes heap and callback storage for `n` total scheduled events
-  /// (not just concurrently-live ones — ids index into callback storage).
-  void reserve(std::size_t n);
-
   [[nodiscard]] bool empty() const;
   [[nodiscard]] std::size_t size() const { return live_count_; }
 
@@ -61,8 +57,7 @@ class EventQueue {
 
   void drop_cancelled() const;
 
-  // Min-heap maintained with std::push_heap/pop_heap over a plain vector
-  // (instead of std::priority_queue) so reserve() can pre-size it.
+  // Min-heap maintained with std::push_heap/pop_heap over a plain vector.
   mutable std::vector<Entry> heap_;
   std::vector<EventFn> callbacks_;   // indexed by EventId
   std::vector<bool> cancelled_;      // indexed by EventId

@@ -1,5 +1,7 @@
-// Discrete-event simulation kernel shared by the optical and electrical
-// network models. Single-threaded, deterministic.
+// Discrete-event simulation kernel of the optical ring engine and the
+// service scheduler. Single-threaded, deterministic. (The packet-level
+// electrical model merges per-link event streams instead; see
+// electrical/packet_sim.cpp.)
 #pragma once
 
 #include <cstdint>
@@ -33,11 +35,6 @@ class Simulator {
   EventId schedule_at(Seconds when, EventFn fn);
 
   void cancel(EventId id) { queue_.cancel(id); }
-
-  /// Pre-sizes the event queue for `n` total scheduled events. Purely an
-  /// allocation hint — callers that can bound their event count (e.g. the
-  /// packet simulator's initial injection burst) avoid heap regrowth.
-  void reserve_events(std::size_t n) { queue_.reserve(n); }
 
   /// Runs until no events remain. Returns the number of events fired.
   std::uint64_t run();

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <vector>
 
 #include "wrht/collectives/ring_allreduce.hpp"
@@ -224,6 +226,162 @@ TEST(EngineOccupancy, UtilizationIdenticalAcrossSweepThreadCounts) {
               b.breakdown.reconfiguration.count());
     EXPECT_EQ(a.breakdown.idle.count(), b.breakdown.idle.count());
   }
+}
+
+// ------------------------------------ analysis against the matrix oracle
+
+/// The per-step mean and critical resource as a steps x resources matrix
+/// computed them: the same sums, which analyze_utilization now folds one
+/// resource at a time.
+struct MatrixOracle {
+  std::vector<std::array<double, kOccCategoryCount>> mean;
+  std::vector<std::size_t> critical;
+  std::vector<double> critical_transmission;
+};
+
+MatrixOracle matrix_oracle(std::size_t num_steps,
+                           const OccupancySampler& sampler) {
+  using Times = std::array<double, kOccCategoryCount>;
+  const std::size_t num_res = sampler.num_resources();
+  std::vector<Times> acc(num_steps * num_res, Times{});
+  for (std::size_t r = 0; r < num_res; ++r) {
+    for (const OccInterval& i :
+         sampler.intervals(static_cast<std::uint32_t>(r))) {
+      if (i.step >= num_steps) continue;
+      acc[i.step * num_res + r][static_cast<std::size_t>(i.category)] +=
+          i.duration.count();
+    }
+  }
+  MatrixOracle out;
+  for (std::size_t s = 0; s < num_steps; ++s) {
+    Times mean{};
+    std::size_t critical = num_res;
+    double critical_accounted = -1.0;
+    for (std::size_t r = 0; r < num_res; ++r) {
+      const Times& t = acc[s * num_res + r];
+      double accounted = 0.0;
+      for (std::size_t c = 0; c < kOccCategoryCount; ++c) {
+        mean[c] += t[c];
+        accounted += t[c];
+      }
+      if (accounted > critical_accounted) {
+        critical_accounted = accounted;
+        critical = r;
+      }
+    }
+    if (num_res > 0) {
+      for (double& c : mean) c /= static_cast<double>(num_res);
+    }
+    out.mean.push_back(mean);
+    out.critical.push_back(critical);
+    out.critical_transmission.push_back(
+        critical < num_res
+            ? acc[s * num_res + critical]
+                 [static_cast<std::size_t>(OccCategory::kTransmission)]
+            : 0.0);
+  }
+  return out;
+}
+
+void expect_matches_matrix(const RunReport& report,
+                           const OccupancySampler& sampler,
+                           const std::string& what) {
+  const UtilizationAnalysis got = analyze_utilization(report, sampler);
+  const MatrixOracle want =
+      matrix_oracle(report.step_reports.size(), sampler);
+  ASSERT_EQ(got.step_breakdowns.size(), want.mean.size()) << what;
+  for (std::size_t s = 0; s < want.mean.size(); ++s) {
+    const TimeBreakdown& b = got.step_breakdowns[s];
+    const auto& m = want.mean[s];
+    EXPECT_EQ(b.transmission.count(),
+              m[static_cast<std::size_t>(OccCategory::kTransmission)])
+        << what << " step " << s;
+    EXPECT_EQ(b.reconfiguration.count(),
+              m[static_cast<std::size_t>(OccCategory::kReconfiguration)])
+        << what;
+    EXPECT_EQ(b.conversion.count(),
+              m[static_cast<std::size_t>(OccCategory::kConversion)])
+        << what;
+    EXPECT_EQ(b.processing.count(),
+              m[static_cast<std::size_t>(OccCategory::kProcessing)])
+        << what;
+    EXPECT_EQ(b.straggler_wait.count(),
+              m[static_cast<std::size_t>(OccCategory::kStragglerWait)])
+        << what;
+    const CriticalPathEntry& edge = got.critical_path[s];
+    EXPECT_EQ(edge.resource,
+              want.critical[s] < sampler.num_resources()
+                  ? sampler.name(static_cast<std::uint32_t>(want.critical[s]))
+                  : std::string("(unobserved)"))
+        << what << " step " << s;
+    EXPECT_EQ(edge.transmission.count(), want.critical_transmission[s])
+        << what;
+  }
+}
+
+TEST(UtilizationAnalysis, MatchesTheStepsByResourcesMatrix) {
+  const coll::Schedule ring = coll::ring_allreduce(8, 800);
+  {
+    const elec::FatTreeNetwork net(8, elec::ElectricalConfig{});
+    OccupancySampler sampler;
+    Probe probe;
+    probe.occupancy = &sampler;
+    expect_matches_matrix(net.execute(ring, probe).to_report(), sampler,
+                          "flow");
+  }
+  {
+    const elec::PacketLevelNetwork net(8, elec::ElectricalConfig{});
+    OccupancySampler sampler;
+    Probe probe;
+    probe.occupancy = &sampler;
+    expect_matches_matrix(net.execute(ring, probe).to_report(), sampler,
+                          "packet");
+  }
+  {
+    optics::OpticalConfig cfg;
+    cfg.wavelengths = 2;
+    const optics::RingNetwork net(16, cfg);
+    OccupancySampler sampler;
+    Probe probe;
+    probe.occupancy = &sampler;
+    expect_matches_matrix(
+        net.execute(core::wrht_allreduce(16, 4096, core::WrhtOptions{3, 2}),
+                    probe)
+            .to_report(),
+        sampler, "optical ring");
+  }
+}
+
+TEST(UtilizationAnalysis, CriticalResourceTiesGoToTheFirstRegistered) {
+  // Step 0: "b" and "c" tie above "a"; step 1: nothing recorded, so the
+  // first resource wins at zero; step 2: "a" leads; an interval tagged
+  // past the last step counts only toward its resource's run totals.
+  OccupancySampler sampler;
+  const auto a = sampler.resource("a");
+  const auto b = sampler.resource("b");
+  const auto c = sampler.resource("c");
+  sampler.record(a, 0, Seconds(0.0), Seconds(1.0), kTx);
+  sampler.record(b, 0, Seconds(0.0), Seconds(2.0), kTx);
+  sampler.record(c, 0, Seconds(0.0), Seconds(1.5), kTx);
+  sampler.record(c, 0, Seconds(1.5), Seconds(0.5), kRetune);
+  sampler.record(a, 2, Seconds(3.0), Seconds(1.0), kTx);
+  sampler.record(c, 5, Seconds(4.0), Seconds(1.0), kTx);
+  RunReport report;
+  report.total_time = Seconds(4.0);
+  for (const double d : {2.0, 1.0, 1.0}) {
+    StepReport step;
+    step.duration = Seconds(d);
+    report.step_reports.push_back(step);
+  }
+  const UtilizationAnalysis analysis = analyze_utilization(report, sampler);
+  ASSERT_EQ(analysis.critical_path.size(), 3u);
+  EXPECT_EQ(analysis.critical_path[0].resource, "b");
+  EXPECT_EQ(analysis.critical_path[0].transmission.count(), 2.0);
+  EXPECT_EQ(analysis.critical_path[1].resource, "a");
+  EXPECT_EQ(analysis.critical_path[1].transmission.count(), 0.0);
+  EXPECT_EQ(analysis.critical_path[2].resource, "a");
+  EXPECT_EQ(analysis.resources[2].breakdown.transmission.count(), 2.5);
+  expect_matches_matrix(report, sampler, "hand-built");
 }
 
 }  // namespace

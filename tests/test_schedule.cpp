@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,6 +110,26 @@ TEST(Schedule, ValidateMessagesNameTheFailingStep) {
             "Schedule: element range out of bounds in step 3");
   EXPECT_EQ(message(12, Transfer{0, 1, 0, 0, TransferKind::kCopy, {}}),
             "Schedule: element range out of bounds in step 12");
+}
+
+TEST(Schedule, ValidateRejectsAWrappingElementRange) {
+  // offset + count wraps to a small value in size_t arithmetic; the check
+  // must not accept it, nor a count larger than the whole vector.
+  const auto message = [](const Transfer& bad) {
+    const Schedule s = with_bad_transfer(1, bad);
+    return invalid_argument_of([&] { s.validate(); });
+  };
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  const std::string expected =
+      "Schedule: element range out of bounds in step 1";
+  EXPECT_EQ(message(Transfer{0, 1, max, 1, TransferKind::kReduce, {}}),
+            expected);
+  EXPECT_EQ(message(Transfer{0, 1, 5, max - 2, TransferKind::kReduce, {}}),
+            expected);
+  EXPECT_EQ(message(Transfer{0, 1, 0, 11, TransferKind::kReduce, {}}),
+            expected);
+  // The last element is still in range.
+  EXPECT_EQ(message(Transfer{0, 1, 9, 1, TransferKind::kReduce, {}}), "");
 }
 
 TEST(Schedule, ConstructionValidation) {
