@@ -13,7 +13,9 @@ namespace wrht::coll {
 
 /// Builds the Ring All-reduce schedule for `num_nodes` nodes reducing a
 /// vector of `elements` elements. Requires num_nodes >= 2 and
-/// elements >= num_nodes (each node owns at least one chunk element).
+/// elements >= num_nodes (each node owns at least one chunk element). The
+/// schedule is generated: one neighbour pattern rotated over the chunk
+/// table, O(N) memory until something asks for steps().
 [[nodiscard]] Schedule ring_allreduce(std::uint32_t num_nodes,
                                       std::size_t elements);
 

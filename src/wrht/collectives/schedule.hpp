@@ -15,13 +15,22 @@
 // them. ScheduleStorage::kHeap (via ScheduleStorageScope) restores plain
 // operator-new storage; it exists as the reference path for differential
 // tests. Both modes produce value-identical schedules.
+//
+// Generated steps: a schedule may instead hold a RotatedSteps rule (one
+// base pattern whose chunk assignment rotates from step to step) and no
+// transfers at all. Ring All-reduce is built that way: O(N) memory for its
+// 2(N-1) steps of N transfers. The step cursor (step_view) answers a step's
+// label and count facts from the rule in O(1) and writes its transfers only
+// into caller scratch; steps() materializes them once, on first use.
 #pragma once
 
 #include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +78,81 @@ struct Step {
   std::string label;
 };
 
+/// One circuit a step asks the optical control plane to keep lit: the
+/// (src, dst, direction-hint) triple that determines which micro-rings are
+/// tuned. Two steps whose circuit sets coincide need no retuning between
+/// them (Ring All-reduce's 2(N-1) steps are the canonical example); WRHT
+/// changes circuits on almost every step by construction.
+struct Circuit {
+  NodeId src = 0;
+  NodeId dst = 0;
+  /// Packed direction hint: 0 = none, 1 = clockwise, 2 = counter-clockwise.
+  std::uint8_t direction = 0;
+  auto operator<=>(const Circuit&) const = default;
+};
+[[nodiscard]] Circuit circuit_of(const Transfer& transfer);
+
+/// Element range [offset, count) of chunk `index` out of `chunks` for a
+/// vector of `elements`; remainders spread over the leading chunks, so every
+/// chunk differs from any other by at most one element.
+struct ChunkRange {
+  std::size_t offset;
+  std::size_t count;
+};
+[[nodiscard]] ChunkRange chunk_range(std::size_t elements, std::size_t chunks,
+                                     std::size_t index);
+
+/// The rule of a generated schedule. Every step carries the same base
+/// pattern: transfer i runs base[i] and moves chunk (i + rotation) mod
+/// chunks.size(). Steps come in phases; step t of a phase is labelled
+/// "<label> t", has the phase's kind, and rotates by (rotation - t) mod
+/// chunks.size().
+struct RotatedSteps {
+  struct Phase {
+    std::string label;
+    TransferKind kind = TransferKind::kReduce;
+    std::uint32_t steps = 0;
+    std::uint32_t rotation = 0;  ///< of the phase's first step
+  };
+  std::vector<Circuit> base;
+  std::vector<ChunkRange> chunks;  ///< base.size() entries, every count >= 1
+  std::vector<Phase> phases;
+};
+
+class Schedule;
+
+/// One step as the step cursor sees it. A materialized step answers from
+/// its transfers; a generated one from its schedule's RotatedSteps rule,
+/// in O(1) and without writing a transfer. A view refers into its
+/// schedule: it is valid while the schedule lives and gains no step.
+class StepView {
+ public:
+  [[nodiscard]] std::string label() const;
+  [[nodiscard]] std::size_t num_transfers() const;
+  [[nodiscard]] bool empty() const { return num_transfers() == 0; }
+  /// Largest transfer count (0 for an empty step).
+  [[nodiscard]] std::size_t max_count() const;
+  /// Sum of the transfer counts.
+  [[nodiscard]] std::uint64_t traffic() const;
+  /// Exact id of a generated step's (src, dst, direction) sequence: two
+  /// steps with the same nonzero id have equal sequences. 0 for a
+  /// materialized step.
+  [[nodiscard]] std::uint64_t structure() const;
+  /// The materialized step, or null for a generated one.
+  [[nodiscard]] const Step* step() const { return step_; }
+  /// The step's transfers: in place for a materialized step, written into
+  /// `scratch` (replacing its contents) for a generated one.
+  [[nodiscard]] std::span<const Transfer> transfers(
+      std::vector<Transfer>& scratch) const;
+
+ private:
+  friend class Schedule;
+  const Step* step_ = nullptr;
+  const Schedule* schedule_ = nullptr;  ///< generated steps only
+  std::size_t phase_ = 0;
+  std::uint32_t index_ = 0;  ///< step within the phase
+};
+
 /// Where a Schedule keeps its Transfer storage. Selected per-thread at
 /// Schedule construction time; see ScheduleStorageScope.
 enum class ScheduleStorage {
@@ -99,8 +183,13 @@ class Schedule {
   Schedule(std::string algorithm, std::uint32_t num_nodes,
            std::size_t elements);
 
+  /// A generated schedule whose steps follow `rule`.
+  Schedule(std::string algorithm, std::uint32_t num_nodes,
+           std::size_t elements, RotatedSteps rule);
+
   /// Copies rebuild the step/transfer data on the copy's own fresh storage
   /// (per the current thread-local mode); the source arena is untouched.
+  /// A generated copy shares the source's rule and materializes on its own.
   Schedule(const Schedule& other);
   Schedule& operator=(const Schedule& other);
   Schedule(Schedule&&) noexcept = default;
@@ -110,13 +199,23 @@ class Schedule {
   [[nodiscard]] std::uint32_t num_nodes() const { return num_nodes_; }
   [[nodiscard]] std::size_t elements() const { return elements_; }
 
-  [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
-  [[nodiscard]] std::size_t num_steps() const { return steps_.size(); }
+  /// Every step. A generated schedule materializes its steps on the first
+  /// call (once, thread-safely, into its own storage), value-identical to
+  /// a builder that added the same steps; they live as long as it does.
+  [[nodiscard]] const std::vector<Step>& steps() const;
+  [[nodiscard]] std::size_t num_steps() const;
+
+  /// The step cursor: step `step` without materializing anything.
+  [[nodiscard]] StepView step_view(std::size_t step) const;
+
+  /// True while the steps follow a RotatedSteps rule.
+  [[nodiscard]] bool generated() const { return generated_ != nullptr; }
 
   /// Appends a step whose transfer list is bound to this schedule's
   /// storage. Builders that know their step count should reserve_steps()
   /// first and `transfers.reserve()` per step: growth inside a monotonic
-  /// arena abandons the outgrown block until the schedule dies.
+  /// arena abandons the outgrown block until the schedule dies. A
+  /// generated schedule materializes first and stops being generated.
   Step& add_step(std::string label = {});
 
   void reserve_steps(std::size_t n) { steps_.reserve(n); }
@@ -154,9 +253,24 @@ class Schedule {
   /// Structural validation: node ids in range, element ranges within the
   /// vector, no node both sending and receiving conflicting ranges is NOT
   /// checked here (snapshot semantics make it legal); throws on violation.
+  /// A generated schedule checks its base pattern and chunk table once.
   void validate() const;
 
  private:
+  friend class StepView;
+
+  /// The rule plus the facts every generated step shares. Immutable, so
+  /// copies share it.
+  struct Generated {
+    RotatedSteps rule;
+    std::size_t num_steps = 0;
+    std::size_t max_count = 0;
+    std::uint64_t traffic = 0;
+    std::uint64_t structure = 0;
+  };
+
+  void materialize() const;
+
   [[nodiscard]] common::ArenaAllocator<Transfer> transfer_allocator() const {
     return common::ArenaAllocator<Transfer>(arena_.get());
   }
@@ -167,22 +281,10 @@ class Schedule {
   // arena_ is declared before steps_ so steps_ (whose transfer lists live
   // inside the arena) is destroyed first.
   std::shared_ptr<common::Arena> arena_;
-  std::vector<Step> steps_;
+  std::shared_ptr<const Generated> generated_;
+  std::unique_ptr<std::once_flag> materialized_;  // generated schedules
+  mutable std::vector<Step> steps_;
 };
-
-/// One circuit a step asks the optical control plane to keep lit: the
-/// (src, dst, direction-hint) triple that determines which micro-rings are
-/// tuned. Two steps whose circuit sets coincide need no retuning between
-/// them (Ring All-reduce's 2(N-1) steps are the canonical example); WRHT
-/// changes circuits on almost every step by construction.
-struct Circuit {
-  NodeId src = 0;
-  NodeId dst = 0;
-  /// Packed direction hint: 0 = none, 1 = clockwise, 2 = counter-clockwise.
-  std::uint8_t direction = 0;
-  auto operator<=>(const Circuit&) const = default;
-};
-[[nodiscard]] Circuit circuit_of(const Transfer& transfer);
 
 /// Circuit storage mirroring TransferList: null-arena by default, bindable
 /// to an arena by callers that batch-derive deltas for huge schedules.
@@ -217,15 +319,5 @@ struct ReconfigDelta {
 /// Streams over steps without materializing the delta list, so it stays
 /// cheap on 10^5-step schedules.
 [[nodiscard]] bool is_reconfig_free(const Schedule& schedule);
-
-/// Element range [offset, count) of chunk `index` out of `chunks` for a
-/// vector of `elements`; remainders spread over the leading chunks, so every
-/// chunk differs from any other by at most one element.
-struct ChunkRange {
-  std::size_t offset;
-  std::size_t count;
-};
-[[nodiscard]] ChunkRange chunk_range(std::size_t elements, std::size_t chunks,
-                                     std::size_t index);
 
 }  // namespace wrht::coll

@@ -90,48 +90,45 @@ FatTreeNetwork::FatTreeNetwork(std::uint32_t num_hosts,
   config.lease.validate(config.lease_fabric_width);
 }
 
-FatTreeNetwork::StepTiming FatTreeNetwork::evaluate_step(
+FatTreeNetwork::CachedPattern FatTreeNetwork::route_step(
     const coll::Step& step) const {
-  std::vector<FlowSpec> flows;
-  flows.reserve(step.transfers.size());
-  std::vector<std::uint32_t> load(tree_.num_links(), 0);
+  CachedPattern pattern;
+  pattern.flows.reserve(step.transfers.size());
+  pattern.link_load.assign(tree_.num_links(), 0);
   for (const auto& t : step.transfers) {
     const auto route = tree_.route(t.src, t.dst);
     FlowSpec flow;
-    flow.bytes = static_cast<double>(t.count) * config_.bytes_per_element;
     flow.links = route.links;
     flow.extra_latency = config_.router_delay.count() * route.routers;
-    for (const LinkId l : flow.links) ++load[l];
-    flows.push_back(std::move(flow));
+    for (const LinkId l : flow.links) ++pattern.link_load[l];
+    pattern.flows.push_back(std::move(flow));
   }
-  std::uint32_t max_load = 0;
-  for (const auto l : load) max_load = std::max(max_load, l);
+  for (const auto l : pattern.link_load) {
+    pattern.max_link_load = std::max(pattern.max_link_load, l);
+  }
+  return pattern;
+}
 
-  const FlowResult res = flow_sim_.run(flows);
-
-  StepTiming timing{res.makespan, max_load, res.bottleneck_links,
-                    res.rate_recomputations, {}};
-  // Per-link occupancy: a link transmits until its slowest flow drains,
-  // then its flows are in router processing until their completions.
-  std::vector<double> busy(tree_.num_links(), 0.0);
-  std::vector<double> chain(tree_.num_links(), 0.0);
+FatTreeNetwork::StepTiming FatTreeNetwork::evaluate_step(
+    CachedPattern& pattern, const coll::Step& step) const {
+  std::vector<FlowSpec>& flows = pattern.flows;
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    const double drain = res.completion[i] - flows[i].extra_latency;
-    for (const LinkId l : flows[i].links) {
-      busy[l] = std::max(busy[l], drain);
-      chain[l] = std::max(chain[l], res.completion[i]);
-    }
+    flows[i].bytes =
+        static_cast<double>(step.transfers[i].count) * config_.bytes_per_element;
   }
-  for (LinkId l = 0; l < tree_.num_links(); ++l) {
-    if (load[l] == 0) continue;
-    timing.link_occ.push_back(LinkOcc{l, busy[l], chain[l], load[l]});
+  FlowResult res = flow_sim_.run(flows);
+  return StepTiming{res.makespan, res.bottleneck_links,
+                    res.rate_recomputations, std::move(res.completion)};
+}
+
+std::size_t FatTreeNetwork::CountsHash::operator()(
+    const std::vector<std::size_t>& counts) const {
+  // Word-wise FNV-1a: the hash only picks a bucket.
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::size_t count : counts) {
+    h = (h ^ count) * 1099511628211ull;
   }
-  timing.completion = res.completion;
-  timing.extra_latency.reserve(flows.size());
-  for (const FlowSpec& flow : flows) {
-    timing.extra_latency.push_back(flow.extra_latency);
-  }
-  return timing;
+  return static_cast<std::size_t>(h ^ (h >> 32));
 }
 
 ElectricalRunResult FatTreeNetwork::execute(
@@ -151,6 +148,8 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
 
   open_fabric_log(probe, "electrical-flow", schedule);
   LinkResources links(probe.occupancy, tree_.num_links());
+  std::vector<double> busy;   // per link: its slowest flow's drain
+  std::vector<double> chain;  // per link: its flows' last completion
   double now = 0.0;
   std::size_t step_index = 0;
   for (const auto& step : schedule.steps()) {
@@ -162,20 +161,40 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
     }
     // Direction hints are optical-only; hint-variants of one (src, dst)
     // pattern share a cache entry here.
-    const std::uint64_t sig = net::step_signature(step, false);
-    auto it = pattern_cache_.find(sig);
+    net::make_pattern_key(step.transfers, false, key_scratch_);
+    auto it = pattern_cache_.find(key_scratch_);
     if (it == pattern_cache_.end()) {
-      it = pattern_cache_.emplace(sig, evaluate_step(step)).first;
+      it = pattern_cache_.emplace(key_scratch_, route_step(step)).first;
     }
-    const StepTiming& timing = it->second;
+    // Fair sharing depends on every count, so the timing is keyed by the
+    // step's counts: one count when they are all equal.
+    CachedPattern& pattern = it->second;
+    const std::size_t first = step.transfers.front().count;
+    counts_scratch_.assign(1, first);
+    if (!std::all_of(
+            step.transfers.begin(), step.transfers.end(),
+            [first](const coll::Transfer& t) { return t.count == first; })) {
+      counts_scratch_.clear();
+      for (const coll::Transfer& t : step.transfers) {
+        counts_scratch_.push_back(t.count);
+      }
+    }
+    auto entry = pattern.timings.find(counts_scratch_);
+    if (entry == pattern.timings.end()) {
+      entry = pattern.timings
+                  .emplace(counts_scratch_, evaluate_step(pattern, step))
+                  .first;
+    }
+    const StepTiming& timing = entry->second;
+    const std::uint32_t max_link_load = pattern.max_link_load;
     result.total_flows += step.transfers.size();
-    result.max_link_load = std::max(result.max_link_load, timing.max_link_load);
+    result.max_link_load = std::max(result.max_link_load, max_link_load);
     result.step_times.emplace_back(timing.seconds);
 
     probe.count("electrical.flows", step.transfers.size());
     probe.count("electrical.rate_recomputations", timing.rate_recomputations);
     probe.count("electrical.bottleneck_links", timing.bottleneck_links);
-    probe.count_max("electrical.max_link_load", timing.max_link_load);
+    probe.count_max("electrical.max_link_load", max_link_load);
     if (probe.trace != nullptr) {
       obs::TraceSpan span;
       span.name = step.label.empty() ? "step " + std::to_string(step_index)
@@ -184,14 +203,14 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
       span.start = Seconds(now);
       span.duration = Seconds(timing.seconds);
       span.args = {{"flows", std::to_string(step.transfers.size())},
-                   {"max_link_load", std::to_string(timing.max_link_load)},
+                   {"max_link_load", std::to_string(max_link_load)},
                    {"bottleneck_links",
                     std::to_string(timing.bottleneck_links)}};
       probe.span(span);
       probe.counter_sample("active flows", Seconds(now),
                            static_cast<double>(step.transfers.size()));
       probe.counter_sample("max link load", Seconds(now),
-                           static_cast<double>(timing.max_link_load));
+                           static_cast<double>(max_link_load));
     }
     // Blame timeline: the step's router processing is the bounding
     // flow's; the rest is transmission.
@@ -201,24 +220,37 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
       for (std::size_t i = 0; i < timing.completion.size(); ++i) {
         if (timing.completion[i] > bounding) {
           bounding = timing.completion[i];
-          processing = timing.extra_latency[i];
+          processing = pattern.flows[i].extra_latency;
         }
       }
       log_fabric_step(probe, static_cast<std::uint32_t>(step_index), step,
                       now, timing.seconds, processing, timing.completion);
     }
     if (probe.occupancy != nullptr) {
+      // A link transmits until its slowest flow drains, then its flows are
+      // in router processing until their completions.
+      busy.assign(tree_.num_links(), 0.0);
+      chain.assign(tree_.num_links(), 0.0);
+      for (std::size_t i = 0; i < pattern.flows.size(); ++i) {
+        const double done = timing.completion[i];
+        const double drain = done - pattern.flows[i].extra_latency;
+        for (const LinkId l : pattern.flows[i].links) {
+          busy[l] = std::max(busy[l], drain);
+          chain[l] = std::max(chain[l], done);
+        }
+      }
       const auto step_id = static_cast<std::uint32_t>(step_index);
-      for (const LinkOcc& occ : timing.link_occ) {
-        const auto ref = links[occ.link];
-        probe.occupancy->record(ref, step_id, Seconds(now),
-                                Seconds(occ.busy_s),
-                                obs::OccCategory::kTransmission, occ.load);
-        probe.occupancy->record(ref, step_id, Seconds(now + occ.busy_s),
-                                Seconds(occ.chain_end_s - occ.busy_s),
+      for (LinkId l = 0; l < tree_.num_links(); ++l) {
+        if (pattern.link_load[l] == 0) continue;
+        const auto ref = links[l];
+        probe.occupancy->record(ref, step_id, Seconds(now), Seconds(busy[l]),
+                                obs::OccCategory::kTransmission,
+                                pattern.link_load[l]);
+        probe.occupancy->record(ref, step_id, Seconds(now + busy[l]),
+                                Seconds(chain[l] - busy[l]),
                                 obs::OccCategory::kProcessing);
-        probe.occupancy->record(ref, step_id, Seconds(now + occ.chain_end_s),
-                                Seconds(timing.seconds - occ.chain_end_s),
+        probe.occupancy->record(ref, step_id, Seconds(now + chain[l]),
+                                Seconds(timing.seconds - chain[l]),
                                 obs::OccCategory::kStragglerWait);
       }
     }

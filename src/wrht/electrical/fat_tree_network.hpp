@@ -4,8 +4,8 @@
 // become simultaneous flows routed host-edge(-core-edge)-host; the step
 // lasts until the slowest flow drains under max-min fair sharing, plus the
 // per-router store-and-forward delay (Table 2: 40 Gb/s links, 25 us router
-// delay, 32-port routers, shortest-path routing). Structurally identical
-// steps hit a pattern cache, mirroring the optical simulator.
+// delay, 32-port routers, shortest-path routing). Steps with the same
+// (src, dst) sequence and the same counts hit a pattern cache.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/common/units.hpp"
 #include "wrht/electrical/flow_sim.hpp"
+#include "wrht/net/pattern_key.hpp"
 #include "wrht/net/rate_convention.hpp"
 #include "wrht/net/resource_lease.hpp"
 #include "wrht/obs/occupancy.hpp"
@@ -141,35 +142,47 @@ class FatTreeNetwork {
                                             const obs::Probe& probe) const;
 
  private:
-  /// One directed link's account within a step: it transmits until its
-  /// slowest flow drains, then the flow chain is in router processing
-  /// until the last completion it feeds.
-  struct LinkOcc {
-    LinkId link = 0;
-    double busy_s = 0.0;       ///< max drain time over the link's flows
-    double chain_end_s = 0.0;  ///< max completion (drain + router latency)
-    std::uint32_t load = 0;    ///< flows sharing the link
-  };
-
+  /// A step's fair-sharing result.
   struct StepTiming {
     double seconds = 0.0;
-    std::uint32_t max_link_load = 0;
     std::uint32_t bottleneck_links = 0;
     std::uint64_t rate_recomputations = 0;
-    /// Per-loaded-link occupancy, link-id order (pattern-cached with the
-    /// rest of the timing; only links with traffic appear).
-    std::vector<LinkOcc> link_occ;
-    /// Per-flow completion and router-latency share, transfer order, for
-    /// blame TransferTraces and the step's transmission/processing split.
+    /// Per-flow completion (drain + router latency), transfer order, for
+    /// blame TransferTraces and per-link occupancy.
     std::vector<double> completion;
-    std::vector<double> extra_latency;
   };
-  [[nodiscard]] StepTiming evaluate_step(const coll::Step& step) const;
+
+  struct CountsHash {
+    [[nodiscard]] std::size_t operator()(
+        const std::vector<std::size_t>& counts) const;
+  };
+
+  /// The pattern cache's entry for one (src, dst) sequence: every flow's
+  /// route and each link's load, plus the timing of every count vector
+  /// run on it. A vector whose counts are all equal is keyed by that one
+  /// count (the pattern fixes the transfer count, so this is exact).
+  struct CachedPattern {
+    /// One flow per transfer; `bytes` is rewritten for each evaluation.
+    std::vector<FlowSpec> flows;
+    std::vector<std::uint32_t> link_load;  ///< flows per link
+    std::uint32_t max_link_load = 0;
+    std::unordered_map<std::vector<std::size_t>, StepTiming, CountsHash>
+        timings;
+  };
+  [[nodiscard]] CachedPattern route_step(const coll::Step& step) const;
+  /// Fair-shares `pattern`'s flows carrying `step`'s counts.
+  [[nodiscard]] StepTiming evaluate_step(CachedPattern& pattern,
+                                         const coll::Step& step) const;
 
   topo::FatTree tree_;
   ElectricalConfig config_;
   FlowLevelSimulator flow_sim_;
-  mutable std::unordered_map<std::uint64_t, StepTiming> pattern_cache_;
+  /// Entries by exact (src, dst) sequence.
+  mutable std::unordered_map<net::PatternKey, CachedPattern,
+                             net::PatternKeyHash>
+      pattern_cache_;
+  mutable net::PatternKey key_scratch_;
+  mutable std::vector<std::size_t> counts_scratch_;
 };
 
 }  // namespace wrht::elec

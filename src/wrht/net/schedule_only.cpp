@@ -16,10 +16,11 @@ RunReport ScheduleOnlyBackend::execute(const coll::Schedule& schedule,
   report.steps = schedule.num_steps();
   report.step_reports.reserve(schedule.num_steps());
   for (std::size_t i = 0; i < schedule.num_steps(); ++i) {
-    const coll::Step& step = schedule.steps()[i];
+    const coll::StepView step = schedule.step_view(i);
     StepReport sr;
-    sr.label = step.label.empty() ? "step " + std::to_string(i) : step.label;
-    sr.rounds = step.transfers.empty() ? 0 : 1;
+    sr.label = step.label();
+    if (sr.label.empty()) sr.label = "step " + std::to_string(i);
+    sr.rounds = step.empty() ? 0 : 1;
     report.rounds += sr.rounds;
     if (probe.trace != nullptr) {
       obs::TraceSpan span;

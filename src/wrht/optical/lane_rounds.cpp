@@ -32,52 +32,70 @@ std::string channel_name(std::string_view prefix, const ChannelUse& use,
 
 }  // namespace
 
-PricedPattern price_pattern(std::span<const coll::Transfer> transfers,
-                            const RoundsResult& rwa,
-                            const OpticalConfig& config) {
-  PricedPattern out;
+LanePattern lane_pattern(const RoundsResult& rwa) {
+  LanePattern out;
   out.wavelengths_used = rwa.wavelengths_used;
   out.rounds.reserve(rwa.paths.size());
+  using ChannelKey = std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>;
+  std::vector<ChannelKey> route_keys;
   for (std::size_t r = 0; r < rwa.paths.size(); ++r) {
-    PricedRound round;
+    LaneRound round;
     round.routes.reserve(rwa.paths[r].size());
     // Aggregate the round's lightpaths per WDM channel: spatial reuse puts
     // several paths on one (direction, fiber, wavelength) over disjoint
     // segments, and occupancy accounting needs the channel, not the path.
     // std::map keys keep the resulting use list deterministically ordered.
-    std::map<std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>,
-             ChannelUse>
-        uses;
+    std::map<ChannelKey, std::pair<ChannelUse, std::uint32_t>> uses;
+    route_keys.clear();
     for (std::size_t j = 0; j < rwa.paths[r].size(); ++j) {
       const Lightpath& path = rwa.paths[r][j];
-      const std::size_t index = rwa.rounds[r][j];
-      const std::size_t count = transfers[index].count;
-      round.max_elements = std::max(round.max_elements, count);
       round.wavelengths = std::max(round.wavelengths, path.wavelength + 1);
       out.longest_hops = std::max(out.longest_hops, path.hops);
       const std::uint8_t dir = direction_bit(path.direction);
-      ChannelUse& use = uses[{dir, path.fiber, path.wavelength}];
+      const ChannelKey key{dir, path.fiber, path.wavelength};
+      ChannelUse& use = uses[key].first;
       use.direction = dir;
       use.fiber = path.fiber;
       use.wavelength = path.wavelength;
-      use.serialization =
-          std::max(use.serialization, config.serialization_time(count));
       ++use.concurrency;
-      round.routes.push_back(TransferRoute{static_cast<std::uint32_t>(index),
-                                           dir, path.wavelength});
+      route_keys.push_back(key);
+      round.routes.push_back(
+          TransferRoute{static_cast<std::uint32_t>(rwa.rounds[r][j]), dir,
+                        path.wavelength, 0});
     }
     round.uses.reserve(uses.size());
-    for (const auto& [key, use] : uses) round.uses.push_back(use);
-    round.serialization = config.serialization_time(round.max_elements);
-    out.max_transfer_elements =
-        std::max(out.max_transfer_elements, round.max_elements);
+    for (auto& [key, use] : uses) {
+      use.second = static_cast<std::uint32_t>(round.uses.size());
+      round.uses.push_back(use.first);
+    }
+    for (std::size_t j = 0; j < round.routes.size(); ++j) {
+      round.routes[j].use = uses.find(route_keys[j])->second.second;
+    }
     out.rounds.push_back(std::move(round));
   }
   return out;
 }
 
+RoundLoad round_load(std::size_t max_elements, const OpticalConfig& config) {
+  return RoundLoad{max_elements, config.serialization_time(max_elements)};
+}
+
+void round_loads(const LanePattern& pattern,
+                 std::span<const coll::Transfer> transfers,
+                 const OpticalConfig& config, std::vector<RoundLoad>& out) {
+  out.clear();
+  for (const LaneRound& round : pattern.rounds) {
+    std::size_t max_elements = 0;
+    for (const TransferRoute& route : round.routes) {
+      max_elements = std::max(max_elements, transfers[route.index].count);
+    }
+    out.push_back(round_load(max_elements, config));
+  }
+}
+
 void emit_lane_rounds(const obs::Probe& probe, const OpticalConfig& config,
-                      const LaneSlot& slot, const PricedPattern& pattern,
+                      const LaneSlot& slot, const LanePattern& pattern,
+                      std::span<const RoundLoad> loads,
                       std::span<const net::RoundPricer::Round> rounds,
                       std::span<const coll::Transfer> transfers) {
   obs::OccupancySampler* occupancy = probe.occupancy;
@@ -86,16 +104,26 @@ void emit_lane_rounds(const obs::Probe& probe, const OpticalConfig& config,
 
   // Channels this lane touched, for the wait until the step's end.
   std::vector<obs::OccupancySampler::ResourceRef> used;
+  // Per channel of a round: its largest transfer.
+  std::vector<std::size_t> use_elements;
   Seconds cursor = slot.start;
   for (std::size_t r = 0; r < rounds.size(); ++r) {
-    const PricedRound& priced = pattern.rounds[r];
+    const LaneRound& priced = pattern.rounds[r];
     const net::RoundPricer::Round& round = rounds[r];
     const Seconds round_end = cursor + round.duration;
     if (occupancy != nullptr) {
+      use_elements.assign(priced.uses.size(), 0);
+      for (const TransferRoute& route : priced.routes) {
+        use_elements[route.use] =
+            std::max(use_elements[route.use], transfers[route.index].count);
+      }
       // Only the charged reconfiguration lands here: under kOverlapped the
       // hidden portion happened during the previous round's (or step's)
       // transmissions and never occupies this round's interval.
-      for (const ChannelUse& use : priced.uses) {
+      for (std::size_t u = 0; u < priced.uses.size(); ++u) {
+        const ChannelUse& use = priced.uses[u];
+        const Seconds serialization =
+            config.serialization_time(use_elements[u]);
         const auto ref = occupancy->resource(channel_name(
             slot.channel_prefix, use, config.fibers_per_direction));
         Seconds at = cursor;
@@ -105,9 +133,9 @@ void emit_lane_rounds(const obs::Probe& probe, const OpticalConfig& config,
         occupancy->record(ref, slot.step, at, config.oeo_delay,
                           obs::OccCategory::kConversion);
         at += config.oeo_delay;
-        occupancy->record(ref, slot.step, at, use.serialization,
+        occupancy->record(ref, slot.step, at, serialization,
                           obs::OccCategory::kTransmission, use.concurrency);
-        at += use.serialization;
+        at += serialization;
         occupancy->record(ref, slot.step, at, round_end - at,
                           obs::OccCategory::kStragglerWait);
         if (slot.step_end &&
@@ -125,7 +153,7 @@ void emit_lane_rounds(const obs::Probe& probe, const OpticalConfig& config,
       trace.reconfig = round.reconfig;
       trace.full_reconfig = round.full_reconfig;
       trace.conversion = config.oeo_delay;
-      trace.serialization = priced.serialization;
+      trace.serialization = loads[r].serialization;
       trace.duration = round.duration;
       trace.retune = round.retune;
       const std::uint32_t round_index = log->round(std::move(trace));
@@ -167,12 +195,12 @@ void open_transfer_log(const obs::Probe& probe, const char* backend,
 }
 
 void emit_step_trace(const obs::Probe& probe, std::uint32_t step_index,
-                     const coll::Step& step, const StepCost& cost) {
-  if (probe.transfers == nullptr || step.transfers.empty()) return;
+                     bool empty, const StepCost& cost) {
+  if (probe.transfers == nullptr || empty) return;
   obs::StepTrace trace;
   trace.step = step_index;
   trace.label =
-      step.label.empty() ? "step " + std::to_string(step_index) : step.label;
+      cost.label.empty() ? "step " + std::to_string(step_index) : cost.label;
   trace.start = cost.start;
   trace.duration = cost.duration;
   probe.transfers->step(std::move(trace));

@@ -1,6 +1,7 @@
 #include "wrht/optical/ring_network.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <set>
 #include <unordered_set>
 
@@ -30,16 +31,17 @@ Seconds RingNetwork::single_round_estimate(
     const coll::Schedule& schedule) const {
   Seconds total(0.0);
   for (std::size_t s = 0; s < schedule.num_steps(); ++s) {
-    if (schedule.steps()[s].transfers.empty()) continue;
-    total += round_time(schedule.max_transfer_elements(s));
+    const coll::StepView view = schedule.step_view(s);
+    if (view.empty()) continue;
+    total += round_time(view.max_count());
   }
   return total;
 }
 
 RingNetwork::CachedPattern RingNetwork::make_pattern(
-    const coll::Step& step, const RoundsResult& rwa) const {
+    const RoundsResult& rwa) const {
   CachedPattern out;
-  out.priced = price_pattern(step.transfers, rwa, config_);
+  out.lane = lane_pattern(rwa);
   out.tunings.reserve(rwa.paths.size());
   for (const std::vector<Lightpath>& paths : rwa.paths) {
     out.tunings.push_back(TuningState::from_lightpaths(paths));
@@ -50,17 +52,17 @@ RingNetwork::CachedPattern RingNetwork::make_pattern(
   return out;
 }
 
-RingNetwork::CachedPattern RingNetwork::evaluate_step(const coll::Step& step,
-                                                      Rng* rng) const {
+RingNetwork::CachedPattern RingNetwork::evaluate_step(
+    const coll::StepView& view, std::span<const coll::Transfer> transfers,
+    Rng* rng) const {
   const RwaOptions options = config_.rwa_options();
   if (config_.allow_multi_round_steps) {
-    return make_pattern(step,
-                        assign_rounds(ring_, step.transfers, options, rng));
+    return make_pattern(assign_rounds(ring_, transfers, options, rng));
   }
-  RwaResult rwa = assign_wavelengths(ring_, step.transfers, options, rng);
+  RwaResult rwa = assign_wavelengths(ring_, transfers, options, rng);
   if (!rwa.ok) {
     throw InfeasibleSchedule(
-        "RingNetwork: step '" + step.label + "' needs more than " +
+        "RingNetwork: step '" + view.label() + "' needs more than " +
         std::to_string(config_.lease.width(config_.wavelengths)) +
         " wavelengths (lease " + config_.lease.to_string() +
         ") and multi-round splitting is disabled");
@@ -69,29 +71,32 @@ RingNetwork::CachedPattern RingNetwork::evaluate_step(const coll::Step& step,
   single.wavelengths_used = rwa.wavelengths_used;
   single.paths.push_back(std::move(rwa.paths));
   single.rounds.emplace_back();
-  for (std::size_t i = 0; i < step.transfers.size(); ++i) {
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
     single.rounds.back().push_back(i);
   }
-  return make_pattern(step, single);
+  return make_pattern(single);
 }
 
 const RingNetwork::CachedPattern& RingNetwork::pattern_for(
-    const coll::Step& step, Rng* rng, CachedPattern& uncached) const {
-  if (step.transfers.empty()) {
+    const coll::StepView& view, std::vector<coll::Transfer>& scratch,
+    Rng* rng, CachedPattern& uncached) const {
+  if (view.empty()) {
     uncached = CachedPattern{};
     return uncached;
   }
   // Random-fit assignments differ run to run; never cache them.
   if (config_.rwa_policy != RwaPolicy::kFirstFit) {
-    uncached = evaluate_step(step, rng);
+    uncached = evaluate_step(view, view.transfers(scratch), rng);
     return uncached;
   }
   // Direction hints participate in the key: pinned-direction variants of
   // the same (src, dst) pattern route differently.
-  const std::uint64_t sig = net::step_signature(step, true);
-  const auto it = pattern_cache_.find(sig);
+  net::make_route_key(view, key_scratch_);
+  const auto it = pattern_cache_.find(key_scratch_);
   if (it != pattern_cache_.end()) return it->second;
-  return pattern_cache_.emplace(sig, evaluate_step(step, rng)).first->second;
+  return pattern_cache_
+      .emplace(key_scratch_, evaluate_step(view, view.transfers(scratch), rng))
+      .first->second;
 }
 
 OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
@@ -107,29 +112,58 @@ void RingNetwork::warm_pattern_cache(const coll::Schedule& schedule) const {
 
   // Distinct uncached patterns in first-occurrence order, so the batch's
   // lowest-index-failure rethrow matches what the sequential DES loop
-  // would have thrown first.
-  std::vector<const coll::Step*> steps;
-  std::vector<std::uint64_t> signatures;
-  std::unordered_set<std::uint64_t> seen;
-  for (const coll::Step& step : schedule.steps()) {
-    if (step.transfers.empty()) continue;
-    const std::uint64_t sig = net::step_signature(step, true);
-    if (pattern_cache_.contains(sig) || !seen.insert(sig).second) continue;
-    steps.push_back(&step);
-    signatures.push_back(sig);
-  }
-  if (steps.size() <= 1) return;
-
-  const RwaOptions options = config_.rwa_options();
+  // would have thrown first. A generated pattern's transfers are written
+  // into storage of its own; a materialized one is read in place.
+  std::vector<net::PatternKey> keys;
   std::vector<std::span<const coll::Transfer>> spans;
-  spans.reserve(steps.size());
-  for (const coll::Step* step : steps) spans.emplace_back(step->transfers);
+  std::deque<std::vector<coll::Transfer>> written;
+  std::unordered_set<net::PatternKey, net::PatternKeyHash> seen;
+  for (std::size_t s = 0; s < schedule.num_steps(); ++s) {
+    const coll::StepView view = schedule.step_view(s);
+    if (view.empty()) continue;
+    net::make_route_key(view, key_scratch_);
+    if (pattern_cache_.contains(key_scratch_) ||
+        !seen.insert(key_scratch_).second) {
+      continue;
+    }
+    keys.push_back(key_scratch_);
+    spans.push_back(view.transfers(written.emplace_back()));
+  }
+  if (keys.size() <= 1) return;
+
   const std::vector<RoundsResult> rounds =
-      assign_rounds_batch(ring_, spans, options, workers);
-  for (std::size_t s = 0; s < steps.size(); ++s) {
-    pattern_cache_.emplace(signatures[s], make_pattern(*steps[s], rounds[s]));
+      assign_rounds_batch(ring_, spans, config_.rwa_options(), workers);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    pattern_cache_.emplace(std::move(keys[i]), make_pattern(rounds[i]));
   }
 }
+
+namespace {
+
+/// The per-step "optical.*" counters of one run, added to the probe once.
+/// A counter the per-step code never touched stays absent.
+struct StepTally {
+  std::uint64_t steps = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t multi_round_steps = 0;
+  std::uint64_t reconfig_charges = 0;
+  std::uint64_t retuned_mrrs = 0;
+  std::uint32_t max_wavelengths_used = 0;
+
+  void flush(const obs::Probe& probe) const {
+    if (probe.counters == nullptr || steps == 0) return;
+    probe.count("optical.reconfig_charges", reconfig_charges);
+    probe.count("optical.steps", steps);
+    probe.count("optical.rounds", rounds);
+    if (multi_round_steps > 0) {
+      probe.count("optical.multi_round_steps", multi_round_steps);
+    }
+    probe.count_max("optical.max_wavelengths_used", max_wavelengths_used);
+    if (retuned_mrrs > 0) probe.count("optical.retuned_mrrs", retuned_mrrs);
+  }
+};
+
+}  // namespace
 
 OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
                                       const obs::Probe& probe, Rng* rng,
@@ -155,26 +189,45 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   // round's, carried across steps. It runs only when something reads it:
   // retune-aware pricing, or the TransferLog's per-round retune flags.
   const bool walk_retunes = pricer.retune_aware() || probe.transfers != nullptr;
+  // Occupancy and TransferLog records name every transfer; nothing else
+  // reads a generated step's transfers once its pattern is cached.
+  const bool log_transfers =
+      probe.occupancy != nullptr || probe.transfers != nullptr;
   // The previous round's state lives in its pattern; only a pattern in the
   // `uncached` slot, which the next step overwrites, is copied out.
   const TuningState initial_tuning;
   TuningState carried_tuning;
   const TuningState* previous_tuning = &initial_tuning;
   CachedPattern uncached;  // empty steps and random-fit patterns
+  std::vector<coll::Transfer> scratch;
+  std::vector<RoundLoad> loads;
   std::vector<net::RoundPricer::Round> rounds;
+  StepTally tally;
 
   std::function<void()> launch = [&]() {
     if (next_step >= schedule.num_steps()) return;
-    const coll::Step& step = schedule.steps()[next_step];
     const std::size_t step_index = next_step;
     ++next_step;
+    const coll::StepView view = schedule.step_view(step_index);
 
-    const CachedPattern& pattern = pattern_for(step, rng, uncached);
-    const PricedPattern& priced = pattern.priced;
+    const CachedPattern& pattern = pattern_for(view, scratch, rng, uncached);
+    const LanePattern& lane = pattern.lane;
+    // Round loads come from the step's own counts: in O(1) from the view
+    // when one round carries every transfer, else one pass over them.
+    std::span<const coll::Transfer> transfers;
+    if (log_transfers || lane.rounds.size() > 1) {
+      transfers = view.transfers(scratch);
+    }
+    if (lane.rounds.size() == 1) {
+      loads.assign(1, round_load(view.max_count(), config_));
+    } else {
+      round_loads(lane, transfers, config_, loads);
+    }
+
     rounds.clear();
     Seconds duration(0.0);
     const std::uint64_t charges_before = pricer.charges();
-    for (std::size_t r = 0; r < priced.rounds.size(); ++r) {
+    for (std::size_t r = 0; r < lane.rounds.size(); ++r) {
       bool retune = true;
       if (walk_retunes) {
         const std::size_t retuned =
@@ -183,39 +236,43 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
         retune = retuned > 0;
         if (retune && pricer.retune_aware()) {
           result.retuned_mrrs += retuned;
-          probe.count("optical.retuned_mrrs", retuned);
+          tally.retuned_mrrs += retuned;
         }
       }
-      rounds.push_back(pricer.price(priced.rounds[r].serialization, retune));
+      rounds.push_back(pricer.price(loads[r].serialization, retune));
       duration += rounds.back().duration;
     }
     if (walk_retunes && &pattern == &uncached && !pattern.tunings.empty()) {
       carried_tuning = pattern.tunings.back();
       previous_tuning = &carried_tuning;
     }
-    probe.count("optical.reconfig_charges", pricer.charges() - charges_before);
+    tally.reconfig_charges += pricer.charges() - charges_before;
 
     StepCost& cost = result.step_costs.emplace_back();
-    cost.label = step.label;
+    cost.label = view.label();
     cost.start = simulator.now();
     cost.duration = duration;
-    cost.rounds = static_cast<std::uint32_t>(priced.rounds.size());
-    cost.wavelengths_used = priced.wavelengths_used;
-    cost.max_transfer_elements = priced.max_transfer_elements;
+    cost.rounds = static_cast<std::uint32_t>(lane.rounds.size());
+    cost.wavelengths_used = lane.wavelengths_used;
+    for (const RoundLoad& load : loads) {
+      cost.max_transfer_elements =
+          std::max(cost.max_transfer_elements, load.max_elements);
+    }
     result.total_rounds += cost.rounds;
     result.max_wavelengths_used =
         std::max(result.max_wavelengths_used, cost.wavelengths_used);
     result.longest_lightpath_hops =
-        std::max(result.longest_lightpath_hops, priced.longest_hops);
+        std::max(result.longest_lightpath_hops, lane.longest_hops);
 
-    probe.count("optical.steps");
-    probe.count("optical.rounds", cost.rounds);
-    if (cost.rounds > 1) probe.count("optical.multi_round_steps");
-    probe.count_max("optical.max_wavelengths_used", cost.wavelengths_used);
+    ++tally.steps;
+    tally.rounds += cost.rounds;
+    if (cost.rounds > 1) ++tally.multi_round_steps;
+    tally.max_wavelengths_used =
+        std::max(tally.max_wavelengths_used, cost.wavelengths_used);
     if (probe.trace != nullptr) {
       obs::TraceSpan span;
-      span.name = step.label.empty() ? "step " + std::to_string(step_index)
-                                     : step.label;
+      span.name = cost.label.empty() ? "step " + std::to_string(step_index)
+                                     : cost.label;
       span.category = "step";
       span.start = cost.start;
       span.duration = cost.duration;
@@ -234,13 +291,13 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
         round.duration = rounds[r].duration;
         round.args = {
             {"serialization_us",
-             std::to_string(priced.rounds[r].serialization.micros())},
-            {"wavelengths", std::to_string(priced.rounds[r].wavelengths)}};
+             std::to_string(loads[r].serialization.micros())},
+            {"wavelengths", std::to_string(lane.rounds[r].wavelengths)}};
         probe.span(round);
         // Counter track: distinct wavelengths carrying traffic this round
         // (holds until the next round's sample).
         std::set<std::uint32_t> lambdas;
-        for (const ChannelUse& use : priced.rounds[r].uses) {
+        for (const ChannelUse& use : lane.rounds[r].uses) {
           lambdas.insert(use.wavelength);
         }
         probe.counter_sample("wavelengths in use", cursor,
@@ -250,10 +307,10 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
     }
 
     const auto step_id = static_cast<std::uint32_t>(step_index);
-    emit_step_trace(probe, step_id, step, cost);
+    emit_step_trace(probe, step_id, view.empty(), cost);
     emit_lane_rounds(probe, config_,
                      LaneSlot{step_id, "ring", "", cost.start, std::nullopt},
-                     priced, rounds, step.transfers);
+                     lane, loads, rounds, transfers);
     simulator.schedule_in(duration, launch);
   };
 
@@ -262,8 +319,14 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
     // Host-side phase accounting: the DES drain is where the optical model
     // spends its wall time (step evaluation runs inside launch callbacks).
     const prof::ScopedTimer timer("optical.des.run");
-    simulator.run();
+    try {
+      simulator.run();
+    } catch (...) {
+      tally.flush(probe);
+      throw;
+    }
   }
+  tally.flush(probe);
 
   // total_time is a duration, not an end timestamp — a job admitted at
   // start != 0 still reports how long it ran.

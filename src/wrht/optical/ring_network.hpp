@@ -9,15 +9,17 @@
 //     of its largest transfer (circuit switching: all lightpaths of a round
 //     progress concurrently at full lane rate). net::RoundPricer applies
 //     the configured net::ReconfigPolicy to the reconfiguration share.
-// Steps are driven through the discrete-event kernel; identical step
-// patterns (e.g. the 2(N-1) structurally equal Ring All-reduce steps) hit a
-// pattern cache so large runs stay fast. A cache entry holds the
-// policy-independent facts of one step (optics::price_pattern plus each
-// round's MRR tuning), so observed and unobserved runs share entries and
-// price identically.
+// Steps are driven through the discrete-event kernel and read through the
+// schedule's step cursor. Steps with the same (src, dst, direction)
+// sequence (e.g. the 2(N-1) Ring All-reduce steps) hit a pattern cache so
+// large runs stay fast. A cache entry holds the routing facts of one step
+// (optics::lane_pattern plus each round's MRR tuning); no transfer count
+// enters it, so each step re-derives its round loads from its own counts.
+// Observed and unobserved runs share entries and price identically.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/common/rng.hpp"
 #include "wrht/common/units.hpp"
+#include "wrht/net/pattern_key.hpp"
 #include "wrht/net/rate_convention.hpp"
 #include "wrht/net/reconfig_policy.hpp"
 #include "wrht/net/resource_lease.hpp"
@@ -243,37 +246,43 @@ class RingNetwork {
       const coll::Schedule& schedule) const;
 
  private:
-  /// The pattern cache's entry for one step: what price_pattern reports
-  /// plus each round's MRR tuning, for the retune walk.
+  /// The pattern cache's entry for one step: its routing facts plus each
+  /// round's MRR tuning, for the retune walk.
   struct CachedPattern {
-    PricedPattern priced;
+    LanePattern lane;
     std::vector<TuningState> tunings;
   };
 
-  /// Builds the cache entry for `step` from its RWA rounds; runs the MRR
+  /// Builds the cache entry from a step's RWA rounds; runs the MRR
   /// capacity check when validate_node_capacity is set.
-  [[nodiscard]] CachedPattern make_pattern(const coll::Step& step,
-                                           const RoundsResult& rwa) const;
+  [[nodiscard]] CachedPattern make_pattern(const RoundsResult& rwa) const;
 
   /// RWA for one step (multi-round or single-round as configured).
-  [[nodiscard]] CachedPattern evaluate_step(const coll::Step& step,
-                                            Rng* rng) const;
+  [[nodiscard]] CachedPattern evaluate_step(
+      const coll::StepView& view, std::span<const coll::Transfer> transfers,
+      Rng* rng) const;
 
   /// The step's entry: a cache hit, or a fresh evaluation (cached under
-  /// first-fit; held in `uncached` otherwise and for empty steps).
-  const CachedPattern& pattern_for(const coll::Step& step, Rng* rng,
-                                   CachedPattern& uncached) const;
+  /// first-fit; held in `uncached` otherwise and for empty steps). Keyed
+  /// by net::make_route_key; a generated step writes its transfers into
+  /// `scratch` only on a miss.
+  const CachedPattern& pattern_for(const coll::StepView& view,
+                                   std::vector<coll::Transfer>& scratch,
+                                   Rng* rng, CachedPattern& uncached) const;
 
   /// First-fit only: batch-solves the schedule's distinct uncached step
-  /// patterns with assign_rounds_batch and fills pattern_cache_, so the
-  /// DES loop below runs entirely on cache hits. No-op when the resolved
-  /// worker count is 1 (the sequential path already does the same work
-  /// lazily) or under random-fit.
+  /// patterns with assign_rounds_batch and fills the pattern cache, so
+  /// the DES loop below runs entirely on cache hits. No-op when the
+  /// resolved worker count is 1 (the sequential path already does the
+  /// same work lazily) or under random-fit.
   void warm_pattern_cache(const coll::Schedule& schedule) const;
 
   topo::Ring ring_;
   OpticalConfig config_;
-  mutable std::unordered_map<std::uint64_t, CachedPattern> pattern_cache_;
+  mutable std::unordered_map<net::PatternKey, CachedPattern,
+                             net::PatternKeyHash>
+      pattern_cache_;
+  mutable net::PatternKey key_scratch_;
 };
 
 }  // namespace wrht::optics

@@ -235,8 +235,14 @@ std::vector<RoundsResult> assign_rounds_batch(const std::vector<RwaStep>& steps,
     }
   };
 
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      resolve_rwa_threads(threads), std::max<std::size_t>(steps.size(), 1)));
+  std::size_t transfers = 0;
+  for (const RwaStep& step : steps) transfers += step.transfers.size();
+  const unsigned workers =
+      transfers < kRwaInlineTransfers
+          ? 1
+          : static_cast<unsigned>(std::min<std::size_t>(
+                resolve_rwa_threads(threads),
+                std::max<std::size_t>(steps.size(), 1)));
   if (workers <= 1) {
     for (std::size_t s = 0; s < steps.size(); ++s) solve(s);
   } else {

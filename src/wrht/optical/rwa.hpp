@@ -87,8 +87,14 @@ struct RwaStep {
   std::span<const coll::Transfer> transfers;
 };
 
+/// Batches carrying fewer transfers than this in total are solved inline
+/// by the calling thread: starting and joining a worker pool costs more
+/// than their RWA (a 4x4 torus step's rings hold a handful of transfers).
+inline constexpr std::size_t kRwaInlineTransfers = 1024;
+
 /// Solves one assign_rounds problem per entry of `steps`, partitioned
-/// across up to `threads` workers (0 = resolve_rwa_threads()).
+/// across up to `threads` workers (0 = resolve_rwa_threads()), or inline
+/// below kRwaInlineTransfers.
 ///
 /// Determinism contract: first-fit only (throws on random-fit). Results
 /// are returned in input order and each step is solved with its own

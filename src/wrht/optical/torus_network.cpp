@@ -105,7 +105,8 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
     // step's end is known.
     struct Lane {
       std::string name;  // "row3" / "col0"; set only when observed
-      PricedPattern pattern;
+      LanePattern pattern;
+      std::vector<RoundLoad> loads;
       std::vector<net::RoundPricer::Round> rounds;
     };
     std::vector<Lane> lanes;
@@ -119,14 +120,14 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
     std::size_t share_index = 0;
     for (const auto& [key, share] : shares) {
       Lane& lane = lanes.emplace_back();
-      lane.pattern =
-          price_pattern(share.transfers, ring_rounds[share_index++], config_);
+      lane.pattern = lane_pattern(ring_rounds[share_index++]);
       // Point the ring-local routes back at the step's transfers.
-      for (PricedRound& round : lane.pattern.rounds) {
+      for (LaneRound& round : lane.pattern.rounds) {
         for (TransferRoute& route : round.routes) {
           route.index = static_cast<std::uint32_t>(share.source[route.index]);
         }
       }
+      round_loads(lane.pattern, step.transfers, config_, lane.loads);
       if (observed) {
         lane.name = (key.first ? "row" : "col") + std::to_string(key.second);
       }
@@ -136,16 +137,16 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
                               config_.mrr_reconfig_delay, config_.oeo_delay);
       pricer.set_window(step_window);
       Seconds lane_time(0.0);
-      for (const PricedRound& round : lane.pattern.rounds) {
-        lane.rounds.push_back(pricer.price(round.serialization));
+      for (const RoundLoad& load : lane.loads) {
+        lane.rounds.push_back(pricer.price(load.serialization));
         lane_time += lane.rounds.back().duration;
+        cost.max_transfer_elements =
+            std::max(cost.max_transfer_elements, load.max_elements);
       }
       result.longest_lightpath_hops =
           std::max(result.longest_lightpath_hops, lane.pattern.longest_hops);
       cost.wavelengths_used =
           std::max(cost.wavelengths_used, lane.pattern.wavelengths_used);
-      cost.max_transfer_elements = std::max(
-          cost.max_transfer_elements, lane.pattern.max_transfer_elements);
       max_rounds = std::max(
           max_rounds, static_cast<std::uint32_t>(lane.rounds.size()));
       // Critical-path reconfiguration charges: under kOverlapped only
@@ -160,13 +161,14 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
       emit_lane_rounds(probe, config_,
                        LaneSlot{step_id, lane.name, lane.name, cost.start,
                                 cost.start + slowest},
-                       lane.pattern, lane.rounds, step.transfers);
+                       lane.pattern, lane.loads, lane.rounds,
+                       step.transfers);
     }
 
     cost.label = step.label;
     cost.rounds = max_rounds;
     cost.duration = slowest;
-    emit_step_trace(probe, step_id, step, cost);
+    emit_step_trace(probe, step_id, step.transfers.empty(), cost);
     result.total_rounds += max_rounds;
     result.reconfigurations += max_charges;
     // The hidden time is the step's serial-vs-overlapped delta on the

@@ -1,13 +1,16 @@
 #include "wrht/verify/fuzz.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "wrht/collectives/registry.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/common/rng.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/electrical/electrical_backend.hpp"
 #include "wrht/optical/optical_backend.hpp"
 #include "wrht/plan/schedule_planner.hpp"
 #include "wrht/verify/differential.hpp"
@@ -95,6 +98,86 @@ double priced_seconds(const coll::Schedule& schedule, std::uint32_t ring_size,
   const optics::RingBackend backend(ring_size, config, /*rng_seed=*/2023,
                                     /*collect_utilization=*/false);
   return backend.execute(schedule).total_time.count();
+}
+
+/// Steps the pattern-cache check runs, and the most transfers one may
+/// carry: enough for steps to repeat endpoints, few enough that pricing
+/// every count placement afresh (one flow simulation per step) stays a
+/// small share of a fuzz case.
+constexpr std::size_t kCacheCheckSteps = 8;
+constexpr std::size_t kCacheCheckTransfers = 256;
+
+/// The first kCacheCheckSteps steps of `schedule` that carry at most
+/// kCacheCheckTransfers transfers; with `rng`, each step's (offset, count)
+/// ranges are shuffled over its transfers: the same endpoints with the
+/// counts in other places.
+coll::Schedule cache_check_steps(const coll::Schedule& schedule, Rng* rng) {
+  coll::Schedule out(schedule.algorithm(), schedule.num_nodes(),
+                     schedule.elements());
+  for (const coll::Step& step : schedule.steps()) {
+    if (out.num_steps() == kCacheCheckSteps) break;
+    if (step.transfers.size() > kCacheCheckTransfers) continue;
+    coll::Step& placed = out.add_step(step.label);
+    placed.transfers.assign(step.transfers.begin(), step.transfers.end());
+    if (rng == nullptr) continue;
+    for (std::size_t i = placed.transfers.size(); i > 1; --i) {
+      coll::Transfer& a = placed.transfers[i - 1];
+      coll::Transfer& b = placed.transfers[rng->uniform_int(0, i - 1)];
+      std::swap(a.offset, b.offset);
+      std::swap(a.count, b.count);
+    }
+  }
+  return out;
+}
+
+/// A run's RunReport JSON, or the error it threw.
+std::string run_json(const net::Backend& backend,
+                     const coll::Schedule& schedule) {
+  std::ostringstream out;
+  try {
+    backend.execute(schedule).write_json(out);
+  } catch (const Error& e) {
+    return std::string("error: ") + e.what();
+  }
+  return out.str();
+}
+
+/// Pattern-cache exactness: one backend per engine runs the schedule's
+/// first steps and two count placements of them back to back; each
+/// placement must price exactly as it does on a fresh backend. A cache
+/// that answered from endpoints plus a lossy count summary fails here.
+void check_pattern_caches(const coll::Schedule& schedule, const FuzzCase& c,
+                          CheckResult& result) {
+  Rng rng(0x9e3779b97f4a7c15ull ^ (std::uint64_t{c.num_nodes} << 32) ^
+          c.elements);
+  const coll::Schedule original = cache_check_steps(schedule, nullptr);
+  const coll::Schedule first = cache_check_steps(schedule, &rng);
+  const coll::Schedule second = cache_check_steps(schedule, &rng);
+  optics::OpticalConfig optical;
+  optical.wavelengths = c.wavelengths;
+  optical.reconfig_policy = c.reconfig_policy;
+  optical.validate_node_capacity = false;
+  optical.rwa_threads = 1;
+  const auto check = [&](const char* name, const auto& make) {
+    const std::unique_ptr<net::Backend> shared = make();
+    (void)run_json(*shared, original);
+    for (const coll::Schedule* run : {&first, &second}) {
+      if (run_json(*shared, *run) != run_json(*make(), *run)) {
+        result.add("fuzz.cache.exactness",
+                   c.to_string() + ": " + name +
+                       " priced a schedule differently after running "
+                       "another count placement on the same backend");
+        return;
+      }
+    }
+  };
+  check("optical-ring", [&] {
+    return std::make_unique<optics::RingBackend>(c.num_nodes, optical);
+  });
+  check("electrical-flow", [&] {
+    return std::make_unique<elec::FlowBackend>(c.num_nodes,
+                                               elec::ElectricalConfig{});
+  });
 }
 
 /// Greedy shrink: repeatedly try to move each dimension toward its
@@ -371,6 +454,7 @@ CheckResult check_case(const FuzzCase& c) {
     result.merge(check_overlap_consistency(*schedule, c.num_nodes, overlap));
   }
 
+  check_pattern_caches(*schedule, c, result);
   return result;
 }
 

@@ -12,7 +12,10 @@
 // and overlap-consistency checks, and (for leased draws) the
 // slice-equivalence invariant — a run confined to [w_lo, w_hi) of a
 // shared fabric prices exactly like a full run on a dedicated
-// (w_hi - w_lo)-wavelength one. Failures are collected
+// (w_hi - w_lo)-wavelength one — and the pattern-cache exactness check:
+// the schedule and two random count placements of it run back to back on
+// one optical-ring and one electrical-flow backend, and each must price
+// exactly as on a fresh backend. Failures are collected
 // (never thrown) and the first failing configuration is greedily shrunk
 // toward a minimal reproducer so the report names the smallest broken
 // case, not a 96-node haystack.

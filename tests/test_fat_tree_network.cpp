@@ -128,5 +128,45 @@ TEST(FatTreeNetwork, RejectsOversizedSchedules) {
   EXPECT_THROW(net.execute(one_transfer(32, 0, 20, 100)), InvalidArgument);
 }
 
+/// One step of 64 hosts: 0->1 (one edge switch) and 2->40 (through the
+/// core) carrying `a` and `b` elements.
+Schedule two_flows(std::size_t a, std::size_t b) {
+  Schedule s("manual", 64, 1'000'000);
+  Step& step = s.add_step();
+  step.transfers.push_back(Transfer{0, 1, 0, a, TransferKind::kReduce, {}});
+  step.transfers.push_back(Transfer{2, 40, 0, b, TransferKind::kReduce, {}});
+  return s;
+}
+
+// The two steps share their endpoints and their largest count. A cache
+// keyed on those alone returns the first step's 125 us for the second;
+// its own time is the 10^6-element flow through three routers: 175 us.
+TEST(FatTreeNetwork, PatternCacheKeysOnEveryCount) {
+  const FatTreeNetwork shared(64, test_config());
+  EXPECT_NEAR(shared.execute(two_flows(1'000'000, 1)).total_time.count(),
+              125e-6, 1e-9);
+  const Seconds cached = shared.execute(two_flows(1, 1'000'000)).total_time;
+  const Seconds fresh =
+      FatTreeNetwork(64, test_config()).execute(two_flows(1, 1'000'000))
+          .total_time;
+  EXPECT_NEAR(fresh.count(), 175e-6, 1e-9);
+  EXPECT_EQ(cached, fresh);
+}
+
+// Steps whose counts are all equal take the short key; they must still
+// tell different counts apart.
+TEST(FatTreeNetwork, UniformCountsKeyOnTheirCount) {
+  const FatTreeNetwork shared(64, test_config());
+  const Seconds small = shared.execute(two_flows(1000, 1000)).total_time;
+  const Seconds large = shared.execute(two_flows(2000, 2000)).total_time;
+  EXPECT_EQ(small,
+            FatTreeNetwork(64, test_config()).execute(two_flows(1000, 1000))
+                .total_time);
+  EXPECT_EQ(large,
+            FatTreeNetwork(64, test_config()).execute(two_flows(2000, 2000))
+                .total_time);
+  EXPECT_LT(small, large);
+}
+
 }  // namespace
 }  // namespace wrht::elec

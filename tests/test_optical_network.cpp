@@ -202,5 +202,41 @@ TEST(RingNetwork, Validation) {
   EXPECT_THROW(net.execute(coll::ring_allreduce(16, 32)), InvalidArgument);
 }
 
+/// Four clockwise two-hop transfers on an 8-node ring. With one
+/// wavelength, 0->2 and 4->6 share round 0 and 1->3 and 5->7 round 1.
+coll::Schedule two_rounds(std::size_t a, std::size_t b, std::size_t c,
+                          std::size_t d) {
+  coll::Schedule s("manual", 8, 1'000'000);
+  coll::Step& step = s.add_step();
+  std::size_t src = 0;
+  for (const std::size_t count : {a, b, c, d}) {
+    const auto node = static_cast<coll::NodeId>(src);
+    step.transfers.push_back(coll::Transfer{
+        node, node + 2, 0, count, coll::TransferKind::kReduce,
+        topo::Direction::kClockwise});
+    src += src % 2 == 0 ? 1 : 3;  // 0, 1, 4, 5
+  }
+  return s;
+}
+
+// Same endpoints, same largest count, but the 10^6-element transfers move
+// from one round into both. A cache keyed on endpoints plus the largest
+// count returns the first step's 125 + 25 us; the step's own price is two
+// 125 us rounds.
+TEST(RingNetwork, PatternCacheRederivesRoundLoadsFromCounts) {
+  const OpticalConfig config = paper_config().with_wavelengths(1);
+  const RingNetwork shared(8, config);
+  const OpticalRunResult first = shared.execute(two_rounds(1'000'000, 1, 1, 1));
+  ASSERT_EQ(first.total_rounds, 2u);
+  EXPECT_NEAR(first.total_time.count(), 150e-6, 1e-9);
+  const OpticalRunResult cached =
+      shared.execute(two_rounds(1, 1'000'000, 1'000'000, 1));
+  const OpticalRunResult fresh =
+      RingNetwork(8, config).execute(two_rounds(1, 1'000'000, 1'000'000, 1));
+  EXPECT_NEAR(fresh.total_time.count(), 250e-6, 1e-9);
+  EXPECT_EQ(cached.total_time, fresh.total_time);
+  EXPECT_EQ(cached.step_costs[0].max_transfer_elements, 1'000'000u);
+}
+
 }  // namespace
 }  // namespace wrht::optics

@@ -19,18 +19,24 @@
 #include <string>
 #include <vector>
 
+#include "ring_oracle.hpp"
 #include "wrht/collectives/btree_allreduce.hpp"
 #include "wrht/collectives/registry.hpp"
+#include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/common/table.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/diag/blame.hpp"
+#include "wrht/diag/blame_json.hpp"
 #include "wrht/exp/sweep.hpp"
 #include "wrht/net/registry.hpp"
 #include "wrht/obs/counters.hpp"
+#include "wrht/obs/occupancy.hpp"
 #include "wrht/obs/run_report.hpp"
+#include "wrht/obs/transfer_log.hpp"
 #include "wrht/topo/torus.hpp"
 #include "wrht/verify/overlap.hpp"
 
@@ -500,6 +506,98 @@ TEST(ScaleEquivalence, RescalePatchEqualsDirectBuildAndStaysConsistent) {
   const verify::CheckResult result =
       verify::check_overlap_consistency(patched, 32, overlap);
   EXPECT_TRUE(result.ok()) << result.summary();
+}
+
+/// Everything one run on a fresh backend produces: its RunReport JSON with
+/// counters attached, then (observed runs) the trace spans' names and the
+/// blame JSON built from its TransferLog; or the error it threw.
+std::string run_artifacts(const std::string& backend,
+                          const net::BackendConfig& config,
+                          const coll::Schedule& schedule, bool observed) {
+  const auto engine = net::BackendRegistry::instance().create(backend, config);
+  obs::Counters counters;
+  obs::MemoryTraceSink trace;
+  obs::OccupancySampler occupancy;
+  obs::TransferLog log;
+  obs::Probe probe;
+  probe.counters = &counters;
+  if (observed) {
+    probe.trace = &trace;
+    probe.occupancy = &occupancy;
+    probe.transfers = &log;
+  }
+  std::ostringstream out;
+  try {
+    RunReport report = engine->execute(schedule, probe);
+    report.add_counters(counters);
+    report.write_json(out);
+  } catch (const Error& e) {
+    return std::string("error: ") + e.what();
+  }
+  if (observed) {
+    for (const obs::TraceSpan& span : trace.spans()) out << span.name << '\n';
+    for (obs::OccupancySampler::ResourceRef ref = 0;
+         ref < occupancy.num_resources(); ++ref) {
+      out << occupancy.name(ref) << ':';
+      for (const obs::OccInterval& interval : occupancy.intervals(ref)) {
+        out << ' ' << interval.step << '/'
+            << static_cast<int>(interval.category) << '/'
+            << interval.concurrency << '@' << interval.start.count() << '+'
+            << interval.duration.count();
+      }
+      out << '\n';
+    }
+    diag::write_blame_json(diag::build_blame(log), {}, out);
+  }
+  return out.str();
+}
+
+/// A generated Ring schedule and its materialized twin (the oracle
+/// builder's) are the same input to every engine: RunReport, counters,
+/// trace and blame JSON are byte-identical, observed or not, for element
+/// counts divisible and not divisible by N. Ring does not fit a torus
+/// beyond N = 2, so larger torus cases compare the error.
+TEST(ScaleEquivalence, GeneratedAndMaterializedRingAreByteIdentical) {
+  exp::ensure_initialized();
+  struct Case {
+    const char* backend;
+    std::uint32_t nodes;
+    net::ReconfigPolicy policy;
+  };
+  for (const Case& c :
+       {Case{"optical-ring", 16, net::ReconfigPolicy::kEveryRound},
+        Case{"optical-ring", 33, net::ReconfigPolicy::kOnRetune},
+        Case{"optical-ring", 12, net::ReconfigPolicy::kOverlapped},
+        Case{"electrical-flow", 24, net::ReconfigPolicy::kEveryRound},
+        Case{"electrical-packet", 8, net::ReconfigPolicy::kEveryRound},
+        Case{"optical-torus", 2, net::ReconfigPolicy::kEveryRound},
+        Case{"optical-torus", 8, net::ReconfigPolicy::kEveryRound}}) {
+    net::BackendConfig config;
+    config.num_nodes = c.nodes < 4 ? 4 : c.nodes;
+    config.wavelengths = 4;
+    config.validate_node_capacity = false;
+    config.reconfig_policy = c.policy;
+    config.rwa_threads = 1;
+    for (const std::size_t elements : {std::size_t{c.nodes} * 40,
+                                       std::size_t{c.nodes} * 40 + 7}) {
+      const coll::Schedule generated = coll::ring_allreduce(c.nodes, elements);
+      const coll::Schedule materialized =
+          test::ring_allreduce_oracle(c.nodes, elements);
+      for (const bool observed : {false, true}) {
+        const std::string where = std::string(c.backend) + " N=" +
+                                  std::to_string(c.nodes) + " elements=" +
+                                  std::to_string(elements) +
+                                  (observed ? " observed" : "");
+        const std::string want =
+            run_artifacts(c.backend, config, materialized, observed);
+        EXPECT_EQ(run_artifacts(c.backend, config, generated, observed), want)
+            << where;
+        EXPECT_EQ(want.rfind("error", 0) == 0,
+                  std::string(c.backend) == "optical-torus" && c.nodes > 2)
+            << where << ": " << want.substr(0, 200);
+      }
+    }
+  }
 }
 
 }  // namespace

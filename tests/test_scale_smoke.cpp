@@ -3,8 +3,9 @@
 // incremental work targets, verify them with the cheap oracles (structural
 // invariants plus a sampled data-level proof on a 1-element vector — WRHT
 // schedules are full-vector, so the element axis is structure-free and one
-// element proves the same linear combination), and hold the whole run
-// under a hard peak-RSS budget read from prof::peak_rss_bytes.
+// element proves the same linear combination), sweep the Ring series at
+// full Fig. 6 size, and hold each run under a hard peak-RSS budget read
+// from prof::peak_rss_bytes.
 //
 // These run as their own single-shard Release CI job: they are memory- and
 // minutes-scale, not unit-test-scale.
@@ -12,7 +13,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
@@ -114,28 +117,60 @@ TEST(ScaleSmoke, Ring100kRescaleStaysInBudget) {
   EXPECT_LE(prof::peak_rss_bytes(), kPeakRssBudgetBytes);
 }
 
-/// Budget for a chunked sweep: one Ring schedule at N = 2048 holds
-/// 2 * 2047 * 2048 transfers (320 MiB of 40-byte Transfers). The sweep
-/// cache frees each schedule after its last grid point, so one worker
-/// holds one such schedule at a time (measured peak 328 MiB); a cache
-/// that kept every workload's build alive peaks at ~2.5 GiB.
+/// The paper's four DNN workloads as sweep workloads.
+std::vector<exp::Workload> paper_workloads() {
+  std::vector<exp::Workload> workloads;
+  for (const auto& model : dnn::paper_workloads()) {
+    workloads.push_back(exp::Workload{model.name(), model.parameter_count()});
+  }
+  return workloads;
+}
+
+/// Budget for a chunked sweep: one materialized Ring schedule at N = 2048
+/// holds 2 * 2047 * 2048 transfers (320 MiB of 40-byte Transfers). The
+/// sweep cache frees each schedule after its last grid point, so one
+/// worker holds one such schedule at a time (measured peak 328 MiB); a
+/// cache that kept every workload's build alive peaks at ~2.5 GiB. The
+/// series' builder materializes its steps, since a generated Ring is too
+/// small to show a leak.
 constexpr std::size_t kChunkedSweepBudgetBytes = 700ull * 1024 * 1024;
 
 TEST(ScaleSmoke, ChunkedRingSweepFreesEachScheduleAfterItsPoint) {
   exp::SweepSpec spec;
-  for (const auto& model : dnn::paper_workloads()) {
-    spec.workloads.push_back(
-        exp::Workload{model.name(), model.parameter_count()});
-  }
+  spec.workloads = paper_workloads();
   spec.nodes = {2048};
   spec.wavelengths = {kWavelengths};
-  spec.series = {exp::Series{.name = "ring", .algorithm = "ring"}};
+  spec.series = {exp::Series{
+      .name = "ring", .builder = [](const exp::SweepPoint& point) {
+        coll::Schedule schedule =
+            coll::ring_allreduce(point.nodes, point.workload.elements);
+        (void)schedule.steps();
+        return schedule;
+      }}};
   const auto rows = exp::SweepRunner(1).run(spec);
   ASSERT_EQ(rows.size(), 4u);
   for (const exp::SweepRow& row : rows) {
     EXPECT_EQ(row.report.steps, 2u * 2047);
   }
   EXPECT_LE(prof::peak_rss_bytes(), kChunkedSweepBudgetBytes);
+}
+
+/// Full-size Fig. 6's Ring series on four sweep workers: a generated Ring
+/// schedule is O(N), so the N = 4096 points fit the `large` budget that a
+/// materialized one (1.34 GB each) would exceed five times over.
+TEST(ScaleSmoke, Fig6RingSeriesOnFourWorkersStaysInBudget) {
+  exp::SweepSpec spec;
+  spec.workloads = paper_workloads();
+  spec.nodes = {3072, 4096};
+  spec.wavelengths = {kWavelengths};
+  spec.series = {exp::Series{.name = "ring", .algorithm = "ring"}};
+  const auto rows = exp::SweepRunner(4).run(spec);
+  ASSERT_EQ(rows.size(), 8u);
+  for (const exp::SweepRow& row : rows) {
+    EXPECT_EQ(row.report.steps, 2u * (row.point.nodes - 1));
+    EXPECT_EQ(row.report.rounds, row.report.steps);
+  }
+  EXPECT_LE(prof::peak_rss_bytes(), kPeakRssBudgetBytes);
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include "ring_oracle.hpp"
 
 #include "wrht/collectives/btree_allreduce.hpp"
 #include "wrht/collectives/halving_doubling.hpp"
@@ -292,6 +295,142 @@ TEST(ReconfigDeltas, DuplicateTransfersShareOneCircuit) {
   const auto deltas = reconfig_deltas(s);
   ASSERT_EQ(deltas.size(), 1u);
   EXPECT_EQ(deltas[0].added.size(), 1u);
+}
+
+/// Empty when `got` equals `want` field by field, else where they differ.
+std::string transfer_mismatch(const Transfer& got, const Transfer& want) {
+  if (got.src != want.src) return "src";
+  if (got.dst != want.dst) return "dst";
+  if (got.offset != want.offset) return "offset";
+  if (got.count != want.count) return "count";
+  if (got.kind != want.kind) return "kind";
+  if (got.direction != want.direction) return "direction";
+  return "";
+}
+
+void expect_step_equal(std::span<const Transfer> got, const Step& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.transfers.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::string field = transfer_mismatch(got[i], want.transfers[i]);
+    ASSERT_EQ(field, "") << where << " transfer " << i;
+  }
+}
+
+/// The generated Ring schedule states exactly what the builder loop
+/// stores, through the cursor and through materialized steps(), for
+/// element counts both divisible and not divisible by N.
+TEST(GeneratedSchedule, RingMatchesTheOracleBuilder) {
+  for (const std::uint32_t n : {2u, 3u, 7u, 1024u}) {
+    for (const std::size_t elements :
+         {std::size_t{n} * 6, std::size_t{n} * 6 + 5}) {
+      const std::string where =
+          "N=" + std::to_string(n) + " elements=" + std::to_string(elements);
+      const Schedule oracle = test::ring_allreduce_oracle(n, elements);
+      const Schedule generated = ring_allreduce(n, elements);
+      ASSERT_TRUE(generated.generated()) << where;
+      ASSERT_EQ(generated.num_steps(), oracle.num_steps()) << where;
+      EXPECT_EQ(generated.num_transfers(), oracle.num_transfers()) << where;
+      EXPECT_EQ(generated.total_traffic_elements(),
+                oracle.total_traffic_elements())
+          << where;
+      EXPECT_FALSE(generated.full_vector()) << where;
+
+      const std::uint64_t structure = generated.step_view(0).structure();
+      EXPECT_NE(structure, 0u) << where;
+      std::vector<Transfer> scratch;
+      for (std::size_t s = 0; s < oracle.num_steps(); ++s) {
+        const std::string at = where + " step " + std::to_string(s);
+        const Step& want = oracle.steps()[s];
+        const StepView view = generated.step_view(s);
+        EXPECT_EQ(view.step(), nullptr) << at;
+        EXPECT_EQ(view.label(), want.label) << at;
+        EXPECT_EQ(view.num_transfers(), want.transfers.size()) << at;
+        EXPECT_EQ(view.max_count(), oracle.max_transfer_elements(s)) << at;
+        EXPECT_EQ(view.traffic(), oracle.step_view(s).traffic()) << at;
+        EXPECT_EQ(view.structure(), structure) << at;
+        EXPECT_EQ(oracle.step_view(s).structure(), 0u) << at;
+        expect_step_equal(view.transfers(scratch), want, at);
+      }
+
+      const std::vector<Step>& steps = generated.steps();
+      ASSERT_EQ(steps.size(), oracle.num_steps()) << where;
+      for (std::size_t s = 0; s < steps.size(); ++s) {
+        const std::string at = where + " materialized step " +
+                               std::to_string(s);
+        EXPECT_EQ(steps[s].label, oracle.steps()[s].label) << at;
+        expect_step_equal(steps[s].transfers, oracle.steps()[s], at);
+      }
+      // The materialized copy is laid out exactly as the builder's.
+      ASSERT_NE(generated.arena(), nullptr);
+      EXPECT_EQ(generated.arena()->bytes_allocated(),
+                oracle.arena()->bytes_allocated())
+          << where;
+      // Materializing keeps the rule: the cursor still generates.
+      EXPECT_TRUE(generated.generated()) << where;
+      EXPECT_EQ(generated.step_view(0).step(), nullptr) << where;
+    }
+  }
+}
+
+TEST(GeneratedSchedule, StepsMaterializeOnceAcrossThreads) {
+  const Schedule generated = ring_allreduce(64, 1000);
+  std::vector<const std::vector<Step>*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] { seen[t] = &generated.steps(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto* steps : seen) EXPECT_EQ(steps, seen.front());
+  EXPECT_EQ(seen.front()->size(), 126u);
+}
+
+TEST(GeneratedSchedule, CopiesShareTheRuleAndAddStepMaterializes) {
+  const Schedule generated = ring_allreduce(5, 23);
+  const Schedule copy(generated);
+  EXPECT_TRUE(copy.generated());
+  EXPECT_EQ(copy.step_view(3).structure(), generated.step_view(3).structure());
+  const Schedule oracle = test::ring_allreduce_oracle(5, 23);
+  for (std::size_t s = 0; s < oracle.num_steps(); ++s) {
+    expect_step_equal(copy.steps()[s].transfers, oracle.steps()[s],
+                      "copy step " + std::to_string(s));
+  }
+
+  Schedule extended = ring_allreduce(5, 23);
+  extended.add_step("extra").transfers.push_back(
+      Transfer{0, 2, 0, 23, TransferKind::kCopy, {}});
+  EXPECT_FALSE(extended.generated());
+  ASSERT_EQ(extended.num_steps(), oracle.num_steps() + 1);
+  EXPECT_EQ(extended.steps()[3].label, oracle.steps()[3].label);
+  EXPECT_EQ(extended.step_view(3).structure(), 0u);
+  EXPECT_EQ(extended.steps().back().label, "extra");
+}
+
+/// A generated schedule validates its base pattern and chunk table with
+/// the messages a materialized one would throw for its first step.
+TEST(GeneratedSchedule, ValidateChecksTheRuleWithTheSameMessages) {
+  const auto validate = [](std::vector<Circuit> base,
+                           std::vector<ChunkRange> chunks) {
+    RotatedSteps rule;
+    rule.base = std::move(base);
+    rule.chunks = std::move(chunks);
+    rule.phases = {{"phase", TransferKind::kReduce, 2, 0}};
+    const Schedule s("test", 4, 10, std::move(rule));
+    return invalid_argument_of([&] { s.validate(); });
+  };
+  EXPECT_EQ(validate({{0, 1, 1}, {1, 2, 1}}, {{0, 5}, {5, 5}}), "");
+  EXPECT_EQ(validate({{0, 1, 1}, {1, 4, 1}}, {{0, 5}, {5, 5}}),
+            "Schedule: node id out of range in step 0");
+  EXPECT_EQ(validate({{0, 1, 1}, {2, 2, 1}}, {{0, 5}, {5, 5}}),
+            "Schedule: self-transfer in step 0");
+  EXPECT_EQ(validate({{0, 1, 1}, {1, 2, 1}}, {{0, 5}, {6, 5}}),
+            "Schedule: element range out of bounds in step 0");
+  EXPECT_EQ(invalid_argument_of([] {
+              RotatedSteps rule;
+              rule.base = {{0, 1, 1}};
+              (void)Schedule("test", 4, 10, std::move(rule));
+            }),
+            "Schedule: a rotated rule needs one chunk per base transfer");
 }
 
 }  // namespace
