@@ -9,11 +9,10 @@
 //               [--baseline PATH] [--write-baseline PATH] [--drift X]
 //
 // --scale swaps in the scale-suite (BENCH_scale.json): a 10^5-node WRHT
-// schedule build, its element-rescale patch, large-step RWA, and a sweep
-// whose grid volume (points x max N) must be at least 10x the micro-suite
-// sweep's — the arena + incremental-cache work is what keeps it at
-// micro-sweep wall-clock, and the harness exits 1 if the volume floor is
-// not met (bench/baselines/scale{,-tiny}.baseline ratchet the wall times).
+// schedule build, large-step RWA, and a sweep whose grid volume (points x
+// max N) must be at least 10x the micro-suite sweep's — the harness exits
+// 1 if the volume floor is not met (bench/baselines/scale{,-tiny}.baseline
+// ratchet the wall times).
 // --tiny shrinks every workload to CI-smoke scale (same metric names, so
 // tiny runs compare against tiny baselines — bench/baselines/
 // micro-tiny.baseline — and full runs against micro.baseline).
@@ -124,8 +123,8 @@ int finalize_report(const Options& opt, prof::ProfRegistry& registry,
   return 0;
 }
 
-// The scale suite: the N~10^5 regime the arena + incremental-cache work
-// targets. Measures the big-build / patch / RWA hot paths directly, then
+// The scale suite: the N~10^5 regime the arena work targets. Measures the
+// big-build / RWA hot paths directly, then
 // runs a schedule-only sweep whose grid volume (points x max N) must be
 // >= 10x the micro-suite sweep's pinned volume — the volume floor is a
 // hard gate (exit 1), the wall-clock ratchet lives in
@@ -172,23 +171,6 @@ int run_scale(const Options& opt) {
       report.add_sample_metrics("schedule_build_large.wall_s", samples, "s");
     }
 
-    // Element-rescale patch of the big build: the incremental-cache hot
-    // path (copy + rescale to ResNet-50's 25.5M parameters).
-    {
-      const coll::Schedule big = core::wrht_allreduce(
-          big_n, 1, core::WrhtOptions{big_plan.group_size, big_w});
-      std::vector<double> samples;
-      samples.reserve(opt.reps);
-      for (std::uint32_t r = 0; r < opt.reps; ++r) {
-        const prof::ScopedTimer timer("suite.rescale_patch_large");
-        samples.push_back(time_once([&] {
-          coll::Schedule patched = big;
-          patched.rescale_elements(25557032);
-        }));
-      }
-      report.add_sample_metrics("rescale_patch_large.wall_s", samples, "s");
-    }
-
     // First-fit RWA over one step of a large WRHT schedule.
     {
       optics::RwaOptions rwa;
@@ -206,10 +188,8 @@ int run_scale(const Options& opt) {
     }
 
     // The headline sweep: elements x nodes x {wrht, btree} on the
-    // schedule-only backend. Every point that differs from a cached
-    // sibling only in elements is served by an incremental rescale patch,
-    // so the grid carries 10x+ the micro sweep's volume at comparable
-    // wall-clock.
+    // schedule-only backend, one schedule build per point; the grid
+    // carries 10x+ the micro sweep's volume.
     {
       exp::SweepSpec spec;
       const std::size_t workload_count = opt.tiny ? 4 : 8;
@@ -229,7 +209,6 @@ int run_scale(const Options& opt) {
       spec.series[1].algorithm = "btree";
       spec.series[1].backend = "schedule-only";
       spec.config.validate_node_capacity = false;
-      spec.schedule_cache = exp::ScheduleCacheMode::kIncremental;
 
       const exp::SweepRunner runner;
       std::vector<double> walls, rates;

@@ -130,34 +130,6 @@ Step& Schedule::add_step(std::string label) {
   return steps_.back();
 }
 
-bool Schedule::full_vector() const {
-  if (generated_) {
-    if (generated_->num_steps == 0) return true;
-    return std::all_of(generated_->rule.chunks.begin(),
-                       generated_->rule.chunks.end(),
-                       [&](const ChunkRange& c) {
-                         return c.offset == 0 && c.count == elements_;
-                       });
-  }
-  for (const Step& step : steps_) {
-    for (const Transfer& t : step.transfers) {
-      if (t.offset != 0 || t.count != elements_) return false;
-    }
-  }
-  return true;
-}
-
-void Schedule::rescale_elements(std::size_t new_elements) {
-  require(new_elements >= 1, "rescale_elements: need at least one element");
-  require(full_vector(),
-          "rescale_elements: schedule '" + algorithm_ +
-              "' has chunked transfers; only full-vector schedules rescale");
-  for (Step& step : steps_) {
-    for (Transfer& t : step.transfers) t.count = new_elements;
-  }
-  elements_ = new_elements;
-}
-
 std::size_t Schedule::num_transfers() const {
   std::size_t total = 0;
   for (std::size_t s = 0; s < num_steps(); ++s) {

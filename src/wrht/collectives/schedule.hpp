@@ -227,19 +227,6 @@ class Schedule {
   /// The backing arena (null in kHeap mode) — for memory accounting.
   [[nodiscard]] const common::Arena* arena() const { return arena_.get(); }
 
-  /// True when every transfer spans the whole vector ([0, elements)) —
-  /// the precondition for rescale_elements(). Holds for WRHT/tree-style
-  /// full-vector schedules; false for chunked ring/halving-doubling ones.
-  [[nodiscard]] bool full_vector() const;
-
-  /// Re-targets a full-vector schedule at a new vector length in place:
-  /// every transfer's count becomes `new_elements`. The step/circuit
-  /// structure of such schedules depends only on (N, m, w), so this is the
-  /// patch operation the incremental sweep cache uses to reuse one build
-  /// across an elements axis. Throws without modifying anything if the
-  /// schedule is not full-vector.
-  void rescale_elements(std::size_t new_elements);
-
   /// Number of transfers over all steps.
   [[nodiscard]] std::size_t num_transfers() const;
 

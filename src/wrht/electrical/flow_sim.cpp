@@ -16,27 +16,48 @@ FlowLevelSimulator::FlowLevelSimulator(std::vector<double> link_capacity)
 
 namespace {
 
+/// Working state of fill_rates, kept across one run's recomputations so
+/// each one allocates nothing and visits only the links active flows load.
+/// `load` is zero outside a fill_rates call.
+struct FillScratch {
+  explicit FillScratch(std::size_t num_links)
+      : cap_left(num_links), load(num_links, 0) {}
+  std::vector<double> rates;
+  std::vector<double> cap_left;
+  std::vector<std::uint32_t> load;
+  std::vector<std::uint8_t> fixed;
+  std::vector<LinkId> loaded;  // links with load > 0 at the start
+};
+
 /// Progressive filling over the subset of flows marked active.
-/// rates[i] is written for every active flow i.
-std::vector<double> fill_rates(const std::vector<double>& capacity,
-                               const std::vector<FlowSpec>& flows,
-                               const std::vector<std::uint8_t>& active) {
-  std::vector<double> rates(flows.size(), 0.0);
-  std::vector<double> cap_left = capacity;
-  std::vector<std::uint32_t> load(capacity.size(), 0);
-  std::vector<std::uint8_t> fixed(flows.size(), 0);
+/// scratch.rates[i] is written for every active flow i (0 otherwise).
+void fill_rates(const std::vector<double>& capacity,
+                const std::vector<FlowSpec>& flows,
+                const std::vector<std::uint8_t>& active,
+                FillScratch& scratch) {
+  std::vector<double>& rates = scratch.rates;
+  std::vector<double>& cap_left = scratch.cap_left;
+  std::vector<std::uint32_t>& load = scratch.load;
+  std::vector<std::uint8_t>& fixed = scratch.fixed;
+  rates.assign(flows.size(), 0.0);
+  fixed.assign(flows.size(), 0);
+  scratch.loaded.clear();
 
   std::size_t unfixed = 0;
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (!active[i]) continue;
     ++unfixed;
-    for (const LinkId l : flows[i].links) ++load[l];
+    for (const LinkId l : flows[i].links) {
+      if (load[l]++ > 0) continue;
+      scratch.loaded.push_back(l);
+      cap_left[l] = capacity[l];
+    }
   }
 
   while (unfixed > 0) {
     // Bottleneck link: smallest fair share among loaded links.
     double best_share = std::numeric_limits<double>::infinity();
-    for (LinkId l = 0; l < capacity.size(); ++l) {
+    for (const LinkId l : scratch.loaded) {
       if (load[l] == 0) continue;
       best_share = std::min(best_share, cap_left[l] / load[l]);
     }
@@ -64,7 +85,6 @@ std::vector<double> fill_rates(const std::vector<double>& capacity,
       }
     }
   }
-  return rates;
 }
 
 }  // namespace
@@ -77,7 +97,9 @@ std::vector<double> FlowLevelSimulator::max_min_rates(
     }
   }
   std::vector<std::uint8_t> active(flows.size(), 1);
-  return fill_rates(capacity_, flows, active);
+  FillScratch scratch(capacity_.size());
+  fill_rates(capacity_, flows, active, scratch);
+  return std::move(scratch.rates);
 }
 
 FlowResult FlowLevelSimulator::run(const std::vector<FlowSpec>& flows) const {
@@ -97,18 +119,20 @@ FlowResult FlowLevelSimulator::run(const std::vector<FlowSpec>& flows) const {
   std::size_t live = flows.size();
   for (std::size_t i = 0; i < flows.size(); ++i) remaining[i] = flows[i].bytes;
 
+  FillScratch scratch(capacity_.size());
+  const std::vector<double>& rates = scratch.rates;
   double now = 0.0;
   while (live > 0) {
-    const std::vector<double> rates = fill_rates(capacity_, flows, active);
+    fill_rates(capacity_, flows, active, scratch);
     ++result.rate_recomputations;
     if (result.rate_recomputations == 1) {
       // Count the initial fair-share bottlenecks: links whose capacity the
-      // first allocation fully consumes.
+      // first allocation fully consumes. Only loaded links carry any rate.
       std::vector<double> used(capacity_.size(), 0.0);
       for (std::size_t i = 0; i < flows.size(); ++i) {
         for (const LinkId l : flows[i].links) used[l] += rates[i];
       }
-      for (LinkId l = 0; l < capacity_.size(); ++l) {
+      for (const LinkId l : scratch.loaded) {
         if (used[l] >= capacity_[l] * (1.0 - 1e-9)) ++result.bottleneck_links;
       }
     }

@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
 #include <exception>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 
 #include "wrht/collectives/registry.hpp"
 #include "wrht/common/env.hpp"
 #include "wrht/common/error.hpp"
-#include "wrht/common/log.hpp"
 #include "wrht/core/wrht_schedule.hpp"
 #include "wrht/obs/trace.hpp"
 #include "wrht/obs/trace_json.hpp"
@@ -24,8 +19,6 @@
 namespace wrht::exp {
 
 namespace {
-
-using SchedulePtr = std::shared_ptr<const coll::Schedule>;
 
 std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
   constexpr std::uint64_t kPrime = 1099511628211ULL;
@@ -59,53 +52,8 @@ std::uint64_t point_seed(std::uint64_t base, const SweepPoint& point) {
   return hash;
 }
 
-/// Flat memo key: every input that can change the built schedule, hashed
-/// and compared as plain integers (the former concatenated-string keys
-/// showed up in sweep profiles once grids reached 10^3+ points). Custom
-/// builders fold the series and workload names into `ident` (they are
-/// required to be pure functions of the point); registry algorithms fold
-/// only the algorithm name — the workload's display name cannot change
-/// the schedule, so workloads aliasing one element count share a build.
-struct ScheduleKey {
-  std::uint64_t ident = 0;
-  std::uint64_t elements = 0;
-  std::uint32_t nodes = 0;
-  std::uint32_t group_size = 0;
-  std::uint32_t wavelengths = 0;
-  bool operator==(const ScheduleKey&) const = default;
-};
-
-struct ScheduleKeyHash {
-  std::size_t operator()(const ScheduleKey& key) const {
-    std::uint64_t hash = fnv_mix(14695981039346656037ULL, key.ident);
-    hash = fnv_mix(hash, key.elements);
-    hash = fnv_mix(hash, key.nodes);
-    hash = fnv_mix(hash, key.group_size);
-    hash = fnv_mix(hash, key.wavelengths);
-    return static_cast<std::size_t>(hash);
-  }
-};
-
-ScheduleKey schedule_key(const Series& series, const SweepPoint& point) {
-  ScheduleKey key;
-  std::uint64_t ident = 14695981039346656037ULL;
-  if (series.builder) {
-    ident = fnv_mix(ident, std::uint64_t{1});
-    ident = fnv_mix(ident, series.name);
-    ident = fnv_mix(ident, point.workload.name);
-  } else {
-    ident = fnv_mix(ident, std::uint64_t{2});
-    ident = fnv_mix(ident, series.algorithm);
-  }
-  key.ident = ident;
-  key.elements = point.workload.elements;
-  key.nodes = point.nodes;
-  key.group_size = point.group_size;
-  key.wavelengths = point.wavelengths;
-  return key;
-}
-
 coll::Schedule build_schedule(const Series& series, const SweepPoint& point) {
+  const prof::ScopedTimer timer("sweep.schedule.build");
   if (series.builder) return series.builder(point);
   coll::AllreduceParams params;
   params.num_nodes = point.nodes;
@@ -114,162 +62,6 @@ coll::Schedule build_schedule(const Series& series, const SweepPoint& point) {
   params.wavelengths = point.wavelengths;
   return coll::Registry::instance().build(series.algorithm, params);
 }
-
-/// Schedule reuse across grid points (see ScheduleCacheMode).
-///
-/// kExact tier: points sharing (series, elements, N, m, w) — e.g. one
-/// curve swept over wavelengths it does not depend on — build once;
-/// concurrent requesters wait on the first builder's future, and build
-/// failures propagate to every waiter.
-///
-/// kIncremental tier: the first registry build of a (series, N, m, w)
-/// structure is additionally remembered under an elements-agnostic key.
-/// A later point differing only in elements copies that build and
-/// rescales the transfer counts (coll::Schedule::rescale_elements) when
-/// the base is full-vector; chunked bases and failed pioneer builds fall
-/// back to a full build, so patching can only save work, never change
-/// results or surface different errors.
-///
-/// Lifetime: the grid is known before any point runs, so the constructor
-/// counts each exact key's requests and each structure's distinct exact
-/// keys. An entry is erased on its last request, leaving the schedule
-/// owned only by the points still executing it. A structural base is
-/// dropped once every sibling has looked it up, or as soon as its pioneer
-/// turns out chunked or fails, since nothing can patch it then.
-class ScheduleCache {
- public:
-  ScheduleCache(ScheduleCacheMode mode, const SweepSpec& spec,
-                const std::vector<SweepPoint>& points)
-      : mode_(mode) {
-    if (mode_ == ScheduleCacheMode::kOff) return;
-    for (const SweepPoint& point : points) {
-      const Series& series = spec.series[point.series_index];
-      const ScheduleKey key = schedule_key(series, point);
-      if (memo_[key].remaining++ == 0 && patchable(series)) {
-        ++structural_[structural_key(key)].remaining;
-      }
-    }
-  }
-
-  SchedulePtr get_or_build(const Series& series, const SweepPoint& point) {
-    if (mode_ == ScheduleCacheMode::kOff) {
-      builds_.fetch_add(1, std::memory_order_relaxed);
-      const prof::ScopedTimer timer("sweep.schedule.build");
-      return std::make_shared<const coll::Schedule>(
-          build_schedule(series, point));
-    }
-
-    const ScheduleKey key = schedule_key(series, point);
-    std::promise<SchedulePtr> promise;
-    std::shared_future<SchedulePtr> future;
-    std::shared_future<SchedulePtr> sibling;  // same structure, other elements
-    bool build_here = false;
-    bool pioneer = false;  // first build of its structure
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = memo_.find(key);
-      require(it != memo_.end(), "ScheduleCache: point outside the grid");
-      Entry& entry = it->second;
-      if (!entry.future.valid()) {
-        entry.future = promise.get_future().share();
-        build_here = true;
-        if (patchable(series)) {
-          const auto sit = structural_.find(structural_key(key));
-          if (sit != structural_.end()) {
-            Entry& base = sit->second;
-            sibling = base.future;
-            if (--base.remaining == 0) {
-              structural_.erase(sit);
-            } else if (!sibling.valid()) {
-              base.future = entry.future;
-              pioneer = true;
-            }
-          }
-        }
-      } else {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      future = entry.future;
-      if (--entry.remaining == 0) memo_.erase(it);
-    }
-    if (build_here) {
-      SchedulePtr built;
-      try {
-        built = materialize(series, point, sibling);
-        promise.set_value(built);
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-      if (pioneer && (built == nullptr || !built->full_vector())) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        structural_.erase(structural_key(key));
-      }
-    }
-    return future.get();
-  }
-
-  /// Adds this run's build/patch/hit totals to `counters` (when set).
-  void flush_counters(obs::Counters* counters) const {
-    if (counters == nullptr) return;
-    counters->add("sweep.schedule.builds",
-                  builds_.load(std::memory_order_relaxed));
-    counters->add("sweep.schedule.patches",
-                  patches_.load(std::memory_order_relaxed));
-    counters->add("sweep.schedule.hits",
-                  hits_.load(std::memory_order_relaxed));
-  }
-
- private:
-  /// A cached future plus how many lookups it still has to serve.
-  struct Entry {
-    std::shared_future<SchedulePtr> future;
-    std::size_t remaining = 0;
-  };
-
-  /// Registry builds may serve element-count siblings (kIncremental);
-  /// custom builders always rebuild.
-  [[nodiscard]] bool patchable(const Series& series) const {
-    return mode_ == ScheduleCacheMode::kIncremental && !series.builder;
-  }
-
-  static ScheduleKey structural_key(ScheduleKey key) {
-    key.elements = 0;
-    return key;
-  }
-
-  SchedulePtr materialize(const Series& series, const SweepPoint& point,
-                          const std::shared_future<SchedulePtr>& sibling) {
-    if (sibling.valid()) {
-      SchedulePtr base;
-      try {
-        base = sibling.get();
-      } catch (...) {
-        // The pioneer build of this structure failed at its element count;
-        // ours might still be feasible — rebuild from scratch below.
-        base = nullptr;
-      }
-      if (base != nullptr && base->full_vector()) {
-        patches_.fetch_add(1, std::memory_order_relaxed);
-        const prof::ScopedTimer timer("sweep.schedule.patch");
-        auto patched = std::make_shared<coll::Schedule>(*base);
-        patched->rescale_elements(point.workload.elements);
-        return patched;
-      }
-    }
-    builds_.fetch_add(1, std::memory_order_relaxed);
-    const prof::ScopedTimer timer("sweep.schedule.build");
-    return std::make_shared<const coll::Schedule>(
-        build_schedule(series, point));
-  }
-
-  ScheduleCacheMode mode_;
-  std::mutex mutex_;
-  std::unordered_map<ScheduleKey, Entry, ScheduleKeyHash> memo_;
-  std::unordered_map<ScheduleKey, Entry, ScheduleKeyHash> structural_;
-  std::atomic<std::uint64_t> builds_{0};
-  std::atomic<std::uint64_t> patches_{0};
-  std::atomic<std::uint64_t> hits_{0};
-};
 
 unsigned resolve_threads(unsigned requested) {
   if (requested > 0) return requested;
@@ -321,11 +113,12 @@ class LockedTraceSink final : public obs::TraceSink {
   obs::TraceSink& sink_;
 };
 
+/// Builds the point's schedule, runs it and drops it: no two points share
+/// a schedule, so at most one per worker is alive at a time.
 SweepRow run_point(const SweepSpec& spec, const SweepPoint& point,
-                   ScheduleCache& cache, obs::TraceSink* trace,
-                   std::uint32_t track) {
+                   obs::TraceSink* trace, std::uint32_t track) {
   const Series& series = spec.series[point.series_index];
-  const SchedulePtr schedule = cache.get_or_build(series, point);
+  const coll::Schedule schedule = build_schedule(series, point);
 
   net::BackendConfig config = spec.config;
   config.num_nodes = point.nodes;
@@ -343,10 +136,15 @@ SweepRow run_point(const SweepSpec& spec, const SweepPoint& point,
   probe.track = track;
   SweepRow row;
   row.point = point;
-  row.report = backend->execute(*schedule, probe);
+  row.report = backend->execute(schedule, probe);
   row.report.add_counters(local);
   if (spec.counters != nullptr) spec.counters->merge(local);
   return row;
+}
+
+/// One schedule build per point; reported only for sweeps that finish.
+void add_build_count(obs::Counters* counters, std::size_t points) {
+  if (counters != nullptr) counters->add("sweep.schedule.builds", points);
 }
 
 /// Labels the worker tracks 0..count-1 "sweep-worker-<k>" when the
@@ -382,7 +180,6 @@ std::vector<SweepRow> SweepRunner::run(const SweepSpec& spec) const {
 
   const std::vector<SweepPoint> points = expand_grid(spec);
   std::vector<SweepRow> rows(points.size());
-  ScheduleCache cache(spec.schedule_cache, spec, points);
 
   std::optional<LockedTraceSink> locked;
   if (spec.trace != nullptr) locked.emplace(*spec.trace);
@@ -396,9 +193,9 @@ std::vector<SweepRow> SweepRunner::run(const SweepSpec& spec) const {
     const prof::ScopedTimer wall("sweep.worker.wall");
     for (std::size_t i = 0; i < points.size(); ++i) {
       const prof::ScopedTimer busy("sweep.worker.busy");
-      rows[i] = run_point(spec, points[i], cache, trace, 0);
+      rows[i] = run_point(spec, points[i], trace, 0);
     }
-    cache.flush_counters(spec.counters);
+    add_build_count(spec.counters, points.size());
     name_worker_tracks(spec.trace, 1);
     return rows;
   }
@@ -416,7 +213,7 @@ std::vector<SweepRow> SweepRunner::run(const SweepSpec& spec) const {
       if (i >= points.size()) return;
       try {
         const prof::ScopedTimer busy("sweep.worker.busy");
-        rows[i] = run_point(spec, points[i], cache, trace, id);
+        rows[i] = run_point(spec, points[i], trace, id);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -428,7 +225,7 @@ std::vector<SweepRow> SweepRunner::run(const SweepSpec& spec) const {
   for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker, t);
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-  cache.flush_counters(spec.counters);
+  add_build_count(spec.counters, points.size());
   name_worker_tracks(spec.trace, workers);
   return rows;
 }

@@ -4,10 +4,10 @@
 // product of workloads x node counts x wavelength budgets, with a few
 // named series (algorithm + backend + per-series knobs) evaluated at each
 // grid point. SweepSpec declares that shape; SweepRunner expands the
-// grid, builds each distinct schedule once (memoized across grid points
-// that share one), executes every point through net::BackendRegistry on a
-// worker-thread pool, and returns rows in deterministic grid order —
-// identical regardless of thread count.
+// grid, builds each point's schedule on the worker that runs the point,
+// executes it through net::BackendRegistry on a worker-thread pool, and
+// returns rows in deterministic grid order — identical regardless of
+// thread count.
 //
 // Determinism contract: each point gets its own backend instance and a
 // deterministic rng seed derived from the point's coordinates, so
@@ -54,29 +54,11 @@ struct Series {
   std::function<std::uint32_t(const SweepPoint&)> group_size_fn;
   /// Bypasses the algorithm registry with a custom schedule per point
   /// (single-step RWA patterns, WRHT with all-to-all disabled, ...).
-  /// Must be a pure function of the point: results are memoized by
-  /// (series, workload, N, m, w).
+  /// Called exactly once per point, possibly on any worker thread.
   std::function<coll::Schedule(const SweepPoint&)> builder;
   /// Last-mile tweak of the backend config for this series (rate
   /// convention, reconfiguration accounting, RWA policy, torus shape).
   std::function<void(const SweepPoint&, net::BackendConfig&)> configure;
-};
-
-/// How the runner reuses schedule builds across grid points.
-enum class ScheduleCacheMode {
-  /// Build every point from scratch — the pre-memoization reference path
-  /// for differential tests.
-  kOff,
-  /// Memoize exact (series, elements, N, m, w) repeats behind flat hashed
-  /// keys (the pre-incremental behavior).
-  kExact,
-  /// kExact plus delta construction: registry-built full-vector schedules
-  /// (WRHT, trees, recursive doubling) have a step/circuit structure that
-  /// depends only on (N, m, w), so a sibling point differing only in
-  /// elements is served by copying the cached build and rescaling its
-  /// transfer counts instead of re-running the builder. Chunked schedules
-  /// (ring, hring, halving-doubling) and custom builders always rebuild.
-  kIncremental,
 };
 
 /// One cell of the expanded grid, handed to Series callbacks and carried
@@ -108,12 +90,8 @@ struct SweepSpec {
   /// overwritten per point (rng_seed becomes a deterministic per-point
   /// hash seeded by the value here).
   net::BackendConfig config;
-  /// Schedule-build reuse across grid points (see ScheduleCacheMode).
-  /// Cache modes never change results — only how often builders run; the
-  /// equivalence is pinned by test_scale_equivalence.
-  ScheduleCacheMode schedule_cache = ScheduleCacheMode::kIncremental;
   /// When set, every run's counters merge here (thread-safe, kind-aware),
-  /// plus the runner's own "sweep.schedule.{builds,patches,hits}" totals.
+  /// plus the runner's own "sweep.schedule.builds" total (one per point).
   obs::Counters* counters = nullptr;
   /// When set, every run's trace spans and counter samples funnel here.
   /// Each worker emits on its own track (0 .. workers-1); when the sink is

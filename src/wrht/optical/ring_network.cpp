@@ -7,8 +7,6 @@
 
 #include "wrht/common/error.hpp"
 #include "wrht/net/pattern_key.hpp"
-#include "wrht/prof/prof.hpp"
-#include "wrht/sim/simulator.hpp"
 
 namespace wrht::optics {
 
@@ -111,7 +109,7 @@ void RingNetwork::warm_pattern_cache(const coll::Schedule& schedule) const {
   if (workers <= 1) return;
 
   // Distinct uncached patterns in first-occurrence order, so the batch's
-  // lowest-index-failure rethrow matches what the sequential DES loop
+  // lowest-index-failure rethrow matches what the sequential step loop
   // would have thrown first. A generated pattern's transfers are written
   // into storage of its own; a materialized one is read in place.
   std::vector<net::PatternKey> keys;
@@ -178,11 +176,8 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   result.steps = schedule.num_steps();
   result.step_costs.reserve(schedule.num_steps());
 
-  // Drive the steps through the event kernel: each step-completion event
-  // evaluates (or cache-hits) the next step and schedules its completion.
-  sim::Simulator simulator(start);
-  simulator.set_counters(probe.counters);
-  std::size_t next_step = 0;
+  // Steps run back to back: each starts when the previous one completes.
+  Seconds now = start;
   net::RoundPricer pricer(config_.reconfig_policy, config_.mrr_reconfig_delay,
                           config_.oeo_delay);
   // The retune walk compares each round's MRR state with the previous
@@ -204,10 +199,7 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   std::vector<net::RoundPricer::Round> rounds;
   StepTally tally;
 
-  std::function<void()> launch = [&]() {
-    if (next_step >= schedule.num_steps()) return;
-    const std::size_t step_index = next_step;
-    ++next_step;
+  const auto run_step = [&](std::size_t step_index) {
     const coll::StepView view = schedule.step_view(step_index);
 
     const CachedPattern& pattern = pattern_for(view, scratch, rng, uncached);
@@ -250,7 +242,7 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
 
     StepCost& cost = result.step_costs.emplace_back();
     cost.label = view.label();
-    cost.start = simulator.now();
+    cost.start = now;
     cost.duration = duration;
     cost.rounds = static_cast<std::uint32_t>(lane.rounds.size());
     cost.wavelengths_used = lane.wavelengths_used;
@@ -311,33 +303,30 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
     emit_lane_rounds(probe, config_,
                      LaneSlot{step_id, "ring", "", cost.start, std::nullopt},
                      lane, loads, rounds, transfers);
-    simulator.schedule_in(duration, launch);
+    now += duration;
   };
 
-  simulator.schedule_in(Seconds(0.0), launch);
-  {
-    // Host-side phase accounting: the DES drain is where the optical model
-    // spends its wall time (step evaluation runs inside launch callbacks).
-    const prof::ScopedTimer timer("optical.des.run");
-    try {
-      simulator.run();
-    } catch (...) {
-      tally.flush(probe);
-      throw;
-    }
+  try {
+    for (std::size_t s = 0; s < schedule.num_steps(); ++s) run_step(s);
+  } catch (...) {
+    tally.flush(probe);
+    throw;
   }
   tally.flush(probe);
 
   // total_time is a duration, not an end timestamp — a job admitted at
   // start != 0 still reports how long it ran.
-  result.total_time = simulator.now() - start;
-  result.events_fired = simulator.events_fired();
+  result.total_time = now - start;
+  // One completion event per step plus the start event: the count an
+  // event-driven engine fires for the same chain of steps.
+  result.events_fired = schedule.num_steps() + 1;
+  probe.count("sim.events_fired", result.events_fired);
   result.reconfigurations = pricer.charges();
   result.overlap_hidden = pricer.hidden();
   // Close the counter track so the last round's value does not hold past
   // the end of the run in the viewer.
   if (probe.trace != nullptr && result.total_rounds > 0) {
-    probe.counter_sample("wavelengths in use", simulator.now(), 0.0);
+    probe.counter_sample("wavelengths in use", now, 0.0);
   }
   return result;
 }

@@ -9,7 +9,7 @@
 //     of its largest transfer (circuit switching: all lightpaths of a round
 //     progress concurrently at full lane rate). net::RoundPricer applies
 //     the configured net::ReconfigPolicy to the reconfiguration share.
-// Steps are driven through the discrete-event kernel and read through the
+// Steps run back to back in one loop and are read through the
 // schedule's step cursor. Steps with the same (src, dst, direction)
 // sequence (e.g. the 2(N-1) Ring All-reduce steps) hit a pattern cache so
 // large runs stay fast. A cache entry holds the routing facts of one step
@@ -272,7 +272,7 @@ class RingNetwork {
 
   /// First-fit only: batch-solves the schedule's distinct uncached step
   /// patterns with assign_rounds_batch and fills the pattern cache, so
-  /// the DES loop below runs entirely on cache hits. No-op when the
+  /// the step loop runs entirely on cache hits. No-op when the
   /// resolved worker count is 1 (the sequential path already does the
   /// same work lazily) or under random-fit.
   void warm_pattern_cache(const coll::Schedule& schedule) const;

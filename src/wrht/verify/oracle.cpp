@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "wrht/common/error.hpp"
@@ -53,17 +52,38 @@ Machine boot(const Schedule& schedule, const OracleOptions& options) {
 /// Runs the schedule with snapshot-per-step semantics. Senders are read
 /// from a beginning-of-step copy, so the transfer order inside a step
 /// cannot matter — exactly the concurrency model the lightpath hardware
-/// implements.
+/// implements. Only senders that also receive in the step can change
+/// before their reads, so only their rows are copied, into buffers reused
+/// from step to step; every other sender is read in place.
 void interpret(const Schedule& schedule, Machine& m) {
+  // Per-node marks of the current step (`stamp`; 0 = never): `receives`
+  // flags the step's receivers, `copied` the senders whose rows sit in
+  // buffer slot[node].
+  std::vector<std::size_t> receives(m.n, 0);
+  std::vector<std::size_t> copied(m.n, 0);
+  std::vector<std::size_t> slot(m.n, 0);
+  std::vector<std::vector<double>> value_copies;
+  std::vector<std::vector<std::uint32_t>> count_copies;
+  std::size_t stamp = 0;
   for (const auto& step : schedule.steps()) {
-    std::unordered_map<std::uint32_t, std::vector<double>> value_snap;
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> count_snap;
+    ++stamp;
+    for (const Transfer& t : step.transfers) receives[t.dst] = stamp;
+    std::size_t used = 0;
     for (const Transfer& t : step.transfers) {
-      value_snap.try_emplace(t.src, m.values[t.src]);
-      if (m.provenance) count_snap.try_emplace(t.src, m.counts[t.src]);
+      if (receives[t.src] != stamp || copied[t.src] == stamp) continue;
+      copied[t.src] = stamp;
+      slot[t.src] = used;
+      if (used == value_copies.size()) {
+        value_copies.emplace_back();
+        count_copies.emplace_back();
+      }
+      value_copies[used] = m.values[t.src];
+      if (m.provenance) count_copies[used] = m.counts[t.src];
+      ++used;
     }
     for (const Transfer& t : step.transfers) {
-      const auto& src_v = value_snap.at(t.src);
+      const bool copy = copied[t.src] == stamp;
+      const auto& src_v = copy ? value_copies[slot[t.src]] : m.values[t.src];
       auto& dst_v = m.values[t.dst];
       if (t.kind == TransferKind::kReduce) {
         for (std::size_t e = t.offset; e < t.offset + t.count; ++e) {
@@ -75,7 +95,7 @@ void interpret(const Schedule& schedule, Machine& m) {
         }
       }
       if (m.provenance) {
-        const auto& src_c = count_snap.at(t.src);
+        const auto& src_c = copy ? count_copies[slot[t.src]] : m.counts[t.src];
         auto& dst_c = m.counts[t.dst];
         const std::size_t lo = t.offset * m.n;
         const std::size_t hi = (t.offset + t.count) * m.n;

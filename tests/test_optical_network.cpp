@@ -11,6 +11,7 @@
 #include "wrht/common/error.hpp"
 #include "wrht/core/analysis.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/obs/counters.hpp"
 
 namespace wrht::optics {
 namespace {
@@ -106,6 +107,13 @@ TEST(RingNetwork, SplittingDisabledThrows) {
   const RingNetwork net(27, cfg);
   const auto sched = core::wrht_allreduce(27, 8, core::WrhtOptions{9, 2});
   EXPECT_THROW(net.execute(sched), InfeasibleSchedule);
+
+  // Only a completed run reports its events.
+  obs::Counters counters;
+  obs::Probe probe;
+  probe.counters = &counters;
+  EXPECT_THROW(net.execute(sched, probe), InfeasibleSchedule);
+  EXPECT_FALSE(counters.contains("sim.events_fired"));
 }
 
 TEST(RingNetwork, StrictBitsSlowsSerializationOnly) {
@@ -183,7 +191,7 @@ TEST(RingNetwork, PatternCacheKeysOnTransferOrder) {
 TEST(RingNetwork, EventKernelDrivesSteps) {
   const RingNetwork net(16, paper_config());
   const auto res = net.execute(coll::btree_allreduce(16, 8));
-  // One launch event per step plus the initial kick-off.
+  // The event-driven count: one completion per step plus the start.
   EXPECT_EQ(res.events_fired, res.steps + 1);
 }
 

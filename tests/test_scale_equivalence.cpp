@@ -1,16 +1,14 @@
 // Differential equivalence harness for the scale work: every fast-path
 // introduced for the 10^5..10^6-node regime (arena-backed Schedule storage,
-// incremental sweep-cache patching, batched parallel RWA, flat
-// step-signature keys, pooled DES inner loops) must change *nothing* but
+// batched parallel RWA, flat step-signature keys, generated Ring steps,
+// pooled DES inner loops, parallel sweep workers) must change *nothing* but
 // speed. The reference path is pinned as: heap schedule storage
-// (ScheduleStorageScope), ScheduleCacheMode::kOff, rwa_threads = 1,
-// single sweep worker. The new path enables everything at once. Reports
+// (ScheduleStorageScope), rwa_threads = 1, single sweep worker. The new
+// path enables everything at once. Reports
 // are compared as serialized JSON — byte-for-byte — and sweeps as rendered
 // figure-style CSV text, across all four executing backends.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -38,7 +36,6 @@
 #include "wrht/obs/run_report.hpp"
 #include "wrht/obs/transfer_log.hpp"
 #include "wrht/topo/torus.hpp"
-#include "wrht/verify/overlap.hpp"
 
 namespace wrht {
 namespace {
@@ -117,9 +114,8 @@ void expect_deltas_equal(const coll::Schedule& a, const coll::Schedule& b,
 }
 
 /// The seeded grid every old-vs-new comparison runs over: three element
-/// sizes (exercising the incremental cache's rescale tier on the
-/// full-vector series), two node counts, two wavelength budgets, and six
-/// series spanning all four executing backends plus random-fit RWA.
+/// sizes, two node counts, two wavelength budgets, and six series
+/// spanning all four executing backends plus random-fit RWA.
 exp::SweepSpec grid_spec() {
   exp::ensure_initialized();
   exp::SweepSpec spec;
@@ -128,11 +124,10 @@ exp::SweepSpec grid_spec() {
   spec.nodes = {8, 16};
   spec.wavelengths = {4, 8};
   spec.series = {
-      // Full-vector schedules on the optical ring: the incremental cache
-      // serves w2/w3 by patching w1's build.
+      // Full-vector schedules on the optical ring.
       exp::Series{.name = "wrht", .algorithm = "wrht"},
       exp::Series{.name = "btree", .algorithm = "btree"},
-      // Chunked schedule: the cache must rebuild, never patch.
+      // Chunked schedule on the flow engine.
       exp::Series{.name = "ring_flow", .algorithm = "ring",
                   .backend = "electrical-flow"},
       exp::Series{.name = "wrht_packet", .algorithm = "wrht",
@@ -144,8 +139,7 @@ exp::SweepSpec grid_spec() {
                                   net::BackendConfig& c) {
                     c.random_fit_rwa = true;
                   }},
-      // Dimension-local torus WRHT through a custom builder (the cache's
-      // always-rebuild tier for builder series).
+      // Dimension-local torus WRHT through a custom builder.
       exp::Series{.name = "torus_wrht", .backend = "optical-torus",
                   .builder = [](const exp::SweepPoint& point) {
                     const auto [rows, cols] = near_square(point.nodes);
@@ -162,24 +156,21 @@ exp::SweepSpec grid_spec() {
   return spec;
 }
 
-/// The tentpole gate: reference path (heap storage, no cache, one RWA
-/// worker, one sweep worker) versus everything-on (arena storage,
-/// incremental cache, forced 4-way RWA batch, 3 sweep workers) across the
-/// seeded grid — every RunReport must serialize to byte-identical JSON and
+/// The tentpole gate: reference path (heap storage, one RWA worker, one
+/// sweep worker) versus everything-on (arena storage, forced 4-way RWA
+/// batch, 3 sweep workers) across the seeded grid — every RunReport must serialize to byte-identical JSON and
 /// the figure CSV text must match exactly.
 TEST(ScaleEquivalence, OldPathAndNewPathAreByteIdentical) {
   std::vector<exp::SweepRow> reference;
   {
     coll::ScheduleStorageScope heap(coll::ScheduleStorage::kHeap);
     exp::SweepSpec spec = grid_spec();
-    spec.schedule_cache = exp::ScheduleCacheMode::kOff;
     spec.config.rwa_threads = 1;
     reference = exp::SweepRunner(1).run(spec);
   }
 
   obs::Counters counters;
   exp::SweepSpec spec = grid_spec();
-  spec.schedule_cache = exp::ScheduleCacheMode::kIncremental;
   spec.config.rwa_threads = 4;
   spec.counters = &counters;
   const auto fast = exp::SweepRunner(3).run(spec);
@@ -192,30 +183,14 @@ TEST(ScaleEquivalence, OldPathAndNewPathAreByteIdentical) {
         << reference[i].point.nodes << " w " << reference[i].point.wavelengths;
   }
   EXPECT_EQ(sweep_csv(reference), sweep_csv(fast));
-
-  // The fast path must actually have taken the fast path: the full-vector
-  // series' extra element sizes are served by rescale patches.
-  EXPECT_GT(counters.value("sweep.schedule.patches"), 0u);
-  EXPECT_LT(counters.value("sweep.schedule.builds"),
-            reference.size());
+  EXPECT_EQ(counters.value("sweep.schedule.builds"), reference.size());
 }
 
-TEST(ScaleEquivalence, CacheModesProduceIdenticalCsvRows) {
-  const auto render = [](exp::ScheduleCacheMode mode) {
-    exp::SweepSpec spec = grid_spec();
-    spec.schedule_cache = mode;
-    return sweep_csv(exp::SweepRunner(1).run(spec));
-  };
-  const std::string off = render(exp::ScheduleCacheMode::kOff);
-  EXPECT_EQ(off, render(exp::ScheduleCacheMode::kExact));
-  EXPECT_EQ(off, render(exp::ScheduleCacheMode::kIncremental));
-}
-
-/// A chunked grid whose cache keys have several consumers: `ring` and
-/// `ring_flow` share every build (the backend is not part of the key) and
-/// `b_alias` aliases `b`'s element count, so an entry serves up to four
-/// points before the cache releases it. WRHT rides along so the
-/// structural tier patches while the chunked builds come and go.
+/// A chunked grid where several points ask for the same schedule: `ring`
+/// and `ring_flow` differ only in backend and `b_alias` repeats `b`'s
+/// element count, so each of those builds is made up to four times, on
+/// whichever workers run the points. WRHT rides along as a full-vector
+/// series.
 exp::SweepSpec chunked_spec() {
   exp::ensure_initialized();
   exp::SweepSpec spec;
@@ -238,14 +213,11 @@ struct ChunkedRun {
   std::string csv;
   std::vector<std::string> reports;
   std::uint64_t builds = 0;
-  std::uint64_t patches = 0;
-  std::uint64_t hits = 0;
 };
 
-ChunkedRun run_chunked(exp::ScheduleCacheMode mode, unsigned threads) {
+ChunkedRun run_chunked(unsigned threads) {
   obs::Counters counters;
   exp::SweepSpec spec = chunked_spec();
-  spec.schedule_cache = mode;
   spec.counters = &counters;
   const auto rows = exp::SweepRunner(threads).run(spec);
   ChunkedRun run;
@@ -254,50 +226,27 @@ ChunkedRun run_chunked(exp::ScheduleCacheMode mode, unsigned threads) {
     run.reports.push_back(report_json(row.report));
   }
   run.builds = counters.value("sweep.schedule.builds");
-  run.patches = counters.value("sweep.schedule.patches");
-  run.hits = counters.value("sweep.schedule.hits");
   return run;
 }
 
-/// Every cache mode at 1 and 4 workers reproduces the uncached reference
-/// on the chunked grid, and entries released after their last consumer
-/// never turn a hit into a rebuild: 64 points over 36 distinct keys give
-/// 28 hits; the 12 WRHT keys form 4 (N, w) structures, so kIncremental
-/// patches 8 of them.
+/// 4 workers reproduce the single-worker reference on the chunked grid,
+/// and every one of the 64 points builds its own schedule.
 TEST(ScaleEquivalence, ChunkedGridCacheModesAndWorkerCountsAgree) {
-  const ChunkedRun reference =
-      run_chunked(exp::ScheduleCacheMode::kOff, 1);
+  const ChunkedRun reference = run_chunked(1);
   ASSERT_EQ(reference.reports.size(), 64u);
   EXPECT_EQ(reference.builds, 64u);
 
-  struct Expected {
-    exp::ScheduleCacheMode mode;
-    std::uint64_t builds;
-    std::uint64_t patches;
-  };
-  for (const Expected& expected :
-       {Expected{exp::ScheduleCacheMode::kExact, 36, 0},
-        Expected{exp::ScheduleCacheMode::kIncremental, 28, 8}}) {
-    for (const unsigned threads : {1u, 4u}) {
-      const ChunkedRun run = run_chunked(expected.mode, threads);
-      const std::string where =
-          "mode " + std::to_string(static_cast<int>(expected.mode)) +
-          " threads " + std::to_string(threads);
-      EXPECT_EQ(run.csv, reference.csv) << where;
-      EXPECT_EQ(run.reports, reference.reports) << where;
-      EXPECT_EQ(run.builds, expected.builds) << where;
-      EXPECT_EQ(run.patches, expected.patches) << where;
-      EXPECT_EQ(run.hits, 28u) << where;
-    }
-  }
+  const ChunkedRun run = run_chunked(4);
+  EXPECT_EQ(run.csv, reference.csv);
+  EXPECT_EQ(run.reports, reference.reports);
+  EXPECT_EQ(run.builds, 64u);
 }
 
-/// Calls per element count of the `test_flaky` algorithm: a full-vector
-/// registry algorithm (btree) whose build fails at kFlakyElements.
+/// Calls per element count of the `test_flaky` algorithm: a registry
+/// algorithm (btree) whose build fails at kFlakyElements.
 constexpr std::size_t kFlakyElements = 7;
 struct FlakyLog {
   std::mutex mutex;
-  std::condition_variable called;
   std::map<std::size_t, int> calls;
 };
 FlakyLog& flaky_log() {
@@ -312,7 +261,6 @@ void register_flaky_algorithm() {
           FlakyLog& log = flaky_log();
           const std::lock_guard<std::mutex> lock(log.mutex);
           ++log.calls[p.elements];
-          log.called.notify_all();
         }
         if (p.elements == kFlakyElements) {
           throw InvalidArgument("test_flaky: cannot build 7 elements");
@@ -321,12 +269,10 @@ void register_flaky_algorithm() {
       });
 }
 
-/// A pioneer build that throws leaves the structure unpatchable: the
-/// point aliasing its element count rethrows its error, and the sibling
-/// with another element count rebuilds (one more builder call) instead of
-/// patching. Two workers start on points 0 and 1; point 1's builder waits
-/// until the failing build has run, so no later point can overtake point 0
-/// as the structure's pioneer.
+/// A build that throws fails the sweep with its own error once the pool
+/// has run every point. Every point builds for itself, so the point
+/// repeating the failing element count builds (and fails) again, and the
+/// point with another element count still builds once.
 TEST(ScaleEquivalence, FailedPioneerMakesSiblingsRebuildOrRethrow) {
   exp::ensure_initialized();
   register_flaky_algorithm();
@@ -336,47 +282,18 @@ TEST(ScaleEquivalence, FailedPioneerMakesSiblingsRebuildOrRethrow) {
                     exp::Workload{"ok", 64}};
   spec.nodes = {8};
   spec.wavelengths = {4};
-  spec.series = {
-      exp::Series{.name = "flaky", .algorithm = "test_flaky"},
-      exp::Series{.name = "gate",
-                  .builder = [](const exp::SweepPoint& point) {
-                    if (point.workload.name == "bad") {
-                      FlakyLog& log = flaky_log();
-                      std::unique_lock<std::mutex> lock(log.mutex);
-                      log.called.wait_for(lock, std::chrono::seconds(30), [&] {
-                        return log.calls.count(kFlakyElements) != 0;
-                      });
-                    }
-                    return coll::btree_allreduce(point.nodes,
-                                                 point.workload.elements);
-                  }},
-  };
+  spec.series = {exp::Series{.name = "flaky", .algorithm = "test_flaky"}};
 
-  for (const exp::ScheduleCacheMode mode :
-       {exp::ScheduleCacheMode::kOff, exp::ScheduleCacheMode::kExact,
-        exp::ScheduleCacheMode::kIncremental}) {
-    {
-      const std::lock_guard<std::mutex> lock(flaky_log().mutex);
-      flaky_log().calls.clear();
-    }
-    spec.schedule_cache = mode;
-    std::string error;
-    try {
-      (void)exp::SweepRunner(2).run(spec);
-    } catch (const InvalidArgument& e) {
-      error = e.what();
-    }
-    const std::string where =
-        "mode " + std::to_string(static_cast<int>(mode));
-    EXPECT_EQ(error, "test_flaky: cannot build 7 elements") << where;
-    const std::lock_guard<std::mutex> lock(flaky_log().mutex);
-    // Uncached, bad_alias builds (and fails) again; cached, it rethrows
-    // the memoized error.
-    EXPECT_EQ(flaky_log().calls[kFlakyElements],
-              mode == exp::ScheduleCacheMode::kOff ? 2 : 1)
-        << where;
-    EXPECT_EQ(flaky_log().calls[64], 1) << where;
+  std::string error;
+  try {
+    (void)exp::SweepRunner(2).run(spec);
+  } catch (const InvalidArgument& e) {
+    error = e.what();
   }
+  EXPECT_EQ(error, "test_flaky: cannot build 7 elements");
+  const std::lock_guard<std::mutex> lock(flaky_log().mutex);
+  EXPECT_EQ(flaky_log().calls[kFlakyElements], 2);
+  EXPECT_EQ(flaky_log().calls[64], 1);
 }
 
 /// Batched first-fit RWA is a pure function of its input: any worker count
@@ -481,31 +398,6 @@ TEST(ScaleEquivalence, ArenaAndHeapSchedulesMatchAcross200Configs) {
   }
   // The draw must not degenerate into rejections only.
   EXPECT_GE(built, 100) << "seeded draw produced too few feasible configs";
-}
-
-/// The incremental cache's patch tier (copy + rescale_elements) must be
-/// indistinguishable from a direct build, and its outputs must still pass
-/// the overlapped-reconfiguration consistency checker.
-TEST(ScaleEquivalence, RescalePatchEqualsDirectBuildAndStaysConsistent) {
-  exp::ensure_initialized();
-  core::WrhtOptions options;
-  options.wavelengths = 8;
-  options.group_size = core::plan_wrht(32, 8).group_size;
-
-  const coll::Schedule base = core::wrht_allreduce(32, 1024, options);
-  ASSERT_TRUE(base.full_vector());
-
-  coll::Schedule patched(base);
-  patched.rescale_elements(4096);
-  const coll::Schedule direct = core::wrht_allreduce(32, 4096, options);
-  expect_schedules_equal(patched, direct, "wrht N=32 rescale 1024->4096");
-  expect_deltas_equal(patched, direct, "wrht N=32 rescale 1024->4096");
-
-  verify::OverlapOptions overlap;
-  overlap.wavelengths = 8;
-  const verify::CheckResult result =
-      verify::check_overlap_consistency(patched, 32, overlap);
-  EXPECT_TRUE(result.ok()) << result.summary();
 }
 
 /// Everything one run on a fresh backend produces: its RunReport JSON with

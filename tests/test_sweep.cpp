@@ -1,12 +1,14 @@
 // Tests for the declarative sweep engine (exp::SweepSpec / SweepRunner):
-// grid expansion order, thread-count-independent results, schedule
-// memoization, per-series knobs, error handling and counter merging.
+// grid expansion order, thread-count-independent results, one schedule
+// build per point, per-series knobs, error handling and counter merging.
 #include "wrht/exp/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "wrht/collectives/registry.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/obs/counters.hpp"
 #include "wrht/obs/trace_json.hpp"
 
 namespace wrht {
@@ -77,31 +80,52 @@ TEST(Sweep, ThreadCountDoesNotChangeResults) {
   }
 }
 
-TEST(Sweep, SchedulesAreMemoizedAcrossSeries) {
-  // Two series share one algorithm; the schedule must be built once per
-  // distinct (algorithm, workload, N, m, w) key, not once per point.
-  std::atomic<int> builds{0};
+TEST(Sweep, EveryPointBuildsItsOwnSchedule) {
+  // Two series share one registry algorithm and a third has a builder:
+  // no point reuses another's schedule, so the registry runs once per
+  // point of its two series and the builder once per point of its own.
+  std::atomic<int> registry_builds{0};
   coll::Registry::instance().register_algorithm(
-      "test-counting-ring", [&builds](const coll::AllreduceParams& p) {
-        builds.fetch_add(1);
+      "test-counting-ring",
+      [&registry_builds](const coll::AllreduceParams& p) {
+        registry_builds.fetch_add(1);
         return coll::ring_allreduce(p.num_nodes, p.elements);
       });
+  std::mutex mutex;
+  std::map<std::string, int> builder_calls;  // per point
 
+  obs::Counters counters;
   exp::SweepSpec spec;
-  spec.workloads = {exp::Workload{"a", 256}};
+  spec.workloads = {exp::Workload{"a", 256}, exp::Workload{"b", 256}};
   spec.nodes = {4, 8};
-  spec.wavelengths = {4};
+  spec.wavelengths = {2, 4};
+  spec.counters = &counters;
   spec.series = {
       exp::Series{.name = "paper", .algorithm = "test-counting-ring"},
       exp::Series{.name = "strict", .algorithm = "test-counting-ring",
                   .configure =
                       [](const exp::SweepPoint&, net::BackendConfig& c) {
                         c.convention = net::RateConvention::kStrictBits;
-                      }}};
+                      }},
+      exp::Series{.name = "built",
+                  .builder = [&](const exp::SweepPoint& p) {
+                    {
+                      const std::lock_guard<std::mutex> lock(mutex);
+                      ++builder_calls[p.workload.name + " " +
+                                      std::to_string(p.nodes) + " " +
+                                      std::to_string(p.wavelengths)];
+                    }
+                    return coll::ring_allreduce(p.nodes, p.workload.elements);
+                  }}};
 
-  const auto rows = exp::SweepRunner(2).run(spec);
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(builds.load(), 2);  // one build per node count, shared by series
+  const auto rows = exp::SweepRunner(3).run(spec);
+  ASSERT_EQ(rows.size(), 24u);
+  EXPECT_EQ(counters.value("sweep.schedule.builds"), rows.size());
+  EXPECT_EQ(registry_builds.load(), 16);
+  EXPECT_EQ(builder_calls.size(), 8u);
+  for (const auto& [point, calls] : builder_calls) {
+    EXPECT_EQ(calls, 1) << point;
+  }
 
   // The configure hook really did run per series: strict prices slower.
   EXPECT_GT(rows[1].report.total_time.count(),
