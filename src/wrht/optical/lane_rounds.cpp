@@ -1,7 +1,6 @@
 #include "wrht/optical/lane_rounds.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <tuple>
 
@@ -38,39 +37,46 @@ LanePattern lane_pattern(const RoundsResult& rwa) {
   out.rounds.reserve(rwa.paths.size());
   using ChannelKey = std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>;
   std::vector<ChannelKey> route_keys;
+  std::vector<ChannelKey> channels;
+  std::vector<std::uint32_t> lambdas;
   for (std::size_t r = 0; r < rwa.paths.size(); ++r) {
     LaneRound round;
     round.routes.reserve(rwa.paths[r].size());
     // Aggregate the round's lightpaths per WDM channel: spatial reuse puts
     // several paths on one (direction, fiber, wavelength) over disjoint
     // segments, and occupancy accounting needs the channel, not the path.
-    // std::map keys keep the resulting use list deterministically ordered.
-    std::map<ChannelKey, std::pair<ChannelUse, std::uint32_t>> uses;
+    // The sorted, deduplicated keys give the use list its order.
     route_keys.clear();
     for (std::size_t j = 0; j < rwa.paths[r].size(); ++j) {
       const Lightpath& path = rwa.paths[r][j];
       round.wavelengths = std::max(round.wavelengths, path.wavelength + 1);
       out.longest_hops = std::max(out.longest_hops, path.hops);
       const std::uint8_t dir = direction_bit(path.direction);
-      const ChannelKey key{dir, path.fiber, path.wavelength};
-      ChannelUse& use = uses[key].first;
-      use.direction = dir;
-      use.fiber = path.fiber;
-      use.wavelength = path.wavelength;
-      ++use.concurrency;
-      route_keys.push_back(key);
+      route_keys.emplace_back(dir, path.fiber, path.wavelength);
       round.routes.push_back(
           TransferRoute{static_cast<std::uint32_t>(rwa.rounds[r][j]), dir,
                         path.wavelength, 0});
     }
-    round.uses.reserve(uses.size());
-    for (auto& [key, use] : uses) {
-      use.second = static_cast<std::uint32_t>(round.uses.size());
-      round.uses.push_back(use.first);
+    channels = route_keys;
+    std::sort(channels.begin(), channels.end());
+    channels.erase(std::unique(channels.begin(), channels.end()),
+                   channels.end());
+    round.uses.reserve(channels.size());
+    lambdas.clear();
+    for (const auto& [dir, fiber, wavelength] : channels) {
+      round.uses.push_back(ChannelUse{dir, fiber, wavelength, 0});
+      lambdas.push_back(wavelength);
     }
     for (std::size_t j = 0; j < round.routes.size(); ++j) {
-      round.routes[j].use = uses.find(route_keys[j])->second.second;
+      const auto use = static_cast<std::uint32_t>(
+          std::lower_bound(channels.begin(), channels.end(), route_keys[j]) -
+          channels.begin());
+      round.routes[j].use = use;
+      ++round.uses[use].concurrency;
     }
+    std::sort(lambdas.begin(), lambdas.end());
+    round.distinct_wavelengths = static_cast<std::uint32_t>(
+        std::unique(lambdas.begin(), lambdas.end()) - lambdas.begin());
     out.rounds.push_back(std::move(round));
   }
   return out;

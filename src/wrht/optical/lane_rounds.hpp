@@ -51,6 +51,8 @@ struct TransferRoute {
 
 struct LaneRound {
   std::uint32_t wavelengths = 0;  ///< wavelength high-water mark
+  /// Distinct wavelengths carrying traffic, over every direction and fiber.
+  std::uint32_t distinct_wavelengths = 0;
   /// Channel uses, sorted by (direction, fiber, wavelength).
   std::vector<ChannelUse> uses;
   std::vector<TransferRoute> routes;  ///< one per lightpath, in RWA order

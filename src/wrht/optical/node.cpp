@@ -1,7 +1,7 @@
 #include "wrht/optical/node.hpp"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <string>
 
 #include "wrht/common/error.hpp"
@@ -10,42 +10,56 @@ namespace wrht::optics {
 
 TuningState TuningState::from_lightpaths(const std::vector<Lightpath>& paths) {
   TuningState state;
+  state.tunings_.reserve(2 * paths.size());
   for (const Lightpath& p : paths) {
-    state.tunings_.insert(
+    state.tunings_.push_back(
         Tuning{p.src, p.direction, p.fiber, p.wavelength, true});
-    state.tunings_.insert(
+    state.tunings_.push_back(
         Tuning{p.dst, p.direction, p.fiber, p.wavelength, false});
   }
+  std::sort(state.tunings_.begin(), state.tunings_.end());
+  state.tunings_.erase(
+      std::unique(state.tunings_.begin(), state.tunings_.end()),
+      state.tunings_.end());
   return state;
 }
 
 void TuningState::check_capacity(const NodeHardware& hardware) const {
-  // Per (node, direction) MRR usage.
-  std::map<std::pair<topo::NodeId, topo::Direction>, std::uint64_t> tx_load;
-  std::map<std::pair<topo::NodeId, topo::Direction>, std::uint64_t> rx_load;
-  for (const Tuning& t : tunings_) {
-    ++(t.tx ? tx_load : rx_load)[{t.node, t.direction}];
-  }
-
-  for (const auto& [key, load] : tx_load) {
-    if (load > hardware.tx_capacity()) {
+  // The sorted tunings hold each (node, direction) as one contiguous run,
+  // runs in (node, direction) order: count each run's MRR usage, throw at
+  // the first transmit violation, and report the first receive violation
+  // only when no transmit violation follows it.
+  std::optional<std::string> rx_violation;
+  for (auto run = tunings_.begin(); run != tunings_.end();) {
+    std::uint64_t tx_load = 0;
+    std::uint64_t rx_load = 0;
+    auto it = run;
+    for (; it != tunings_.end() && it->node == run->node &&
+           it->direction == run->direction;
+         ++it) {
+      ++(it->tx ? tx_load : rx_load);
+    }
+    if (tx_load > hardware.tx_capacity()) {
       throw InfeasibleSchedule(
-          "TuningState: node " + std::to_string(key.first) + " needs " +
-          std::to_string(load) + " transmit MRRs per direction but has " +
+          "TuningState: node " + std::to_string(run->node) + " needs " +
+          std::to_string(tx_load) + " transmit MRRs per direction but has " +
           std::to_string(hardware.tx_capacity()));
     }
-  }
-  for (const auto& [key, load] : rx_load) {
-    if (load > hardware.rx_capacity()) {
-      throw InfeasibleSchedule(
-          "TuningState: node " + std::to_string(key.first) + " needs " +
-          std::to_string(load) + " receive MRRs per direction but has " +
-          std::to_string(hardware.rx_capacity()));
+    if (!rx_violation && rx_load > hardware.rx_capacity()) {
+      rx_violation = "TuningState: node " + std::to_string(run->node) +
+                     " needs " + std::to_string(rx_load) +
+                     " receive MRRs per direction but has " +
+                     std::to_string(hardware.rx_capacity());
     }
+    run = it;
   }
+  if (rx_violation) throw InfeasibleSchedule(*rx_violation);
 }
 
 std::size_t TuningState::retune_count(const TuningState& next) const {
+  // Identical objects hold identical tunings: the ring engine compares a
+  // cached pattern's round with itself whenever consecutive steps reuse it.
+  if (this == &next) return 0;
   std::size_t differing = 0;
   auto it_a = tunings_.begin();
   auto it_b = next.tunings_.begin();
@@ -61,8 +75,8 @@ std::size_t TuningState::retune_count(const TuningState& next) const {
       ++it_b;
     }
   }
-  differing += std::distance(it_a, tunings_.end());
-  differing += std::distance(it_b, next.tunings_.end());
+  differing += static_cast<std::size_t>(tunings_.end() - it_a);
+  differing += static_cast<std::size_t>(next.tunings_.end() - it_b);
   return differing;
 }
 

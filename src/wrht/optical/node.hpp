@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "wrht/optical/lightpath.hpp"
@@ -44,7 +43,8 @@ struct Tuning {
   auto operator<=>(const Tuning&) const = default;
 };
 
-/// The complete MRR state of the network for one round.
+/// The complete MRR state of the network for one round: its tunings sorted
+/// by (node, direction, fiber, wavelength, tx), each once.
 class TuningState {
  public:
   TuningState() = default;
@@ -56,16 +56,19 @@ class TuningState {
   /// receive MRRs in one direction than `hardware` provides.
   void check_capacity(const NodeHardware& hardware) const;
 
-  [[nodiscard]] const std::set<Tuning>& tunings() const { return tunings_; }
+  [[nodiscard]] const std::vector<Tuning>& tunings() const {
+    return tunings_;
+  }
   [[nodiscard]] std::size_t size() const { return tunings_.size(); }
 
   /// Number of micro-rings that must change state to go from `this` round
   /// to `next` (symmetric difference size): 0 means the circuits can stay
-  /// up and no reconfiguration delay is needed.
+  /// up and no reconfiguration delay is needed. A state compared with
+  /// itself answers 0 without walking its tunings.
   [[nodiscard]] std::size_t retune_count(const TuningState& next) const;
 
  private:
-  std::set<Tuning> tunings_;
+  std::vector<Tuning> tunings_;  // sorted, no duplicates
 };
 
 }  // namespace wrht::optics

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 #include <unordered_set>
 
 #include "wrht/common/error.hpp"
@@ -288,12 +287,9 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
         probe.span(round);
         // Counter track: distinct wavelengths carrying traffic this round
         // (holds until the next round's sample).
-        std::set<std::uint32_t> lambdas;
-        for (const ChannelUse& use : lane.rounds[r].uses) {
-          lambdas.insert(use.wavelength);
-        }
-        probe.counter_sample("wavelengths in use", cursor,
-                             static_cast<double>(lambdas.size()));
+        probe.counter_sample(
+            "wavelengths in use", cursor,
+            static_cast<double>(lane.rounds[r].distinct_wavelengths));
         cursor += rounds[r].duration;
       }
     }

@@ -17,37 +17,76 @@ namespace wrht::optics {
 
 namespace {
 
-/// Occupancy bookkeeping: one lazily-allocated per-segment bitmap per
-/// (direction, fiber, wavelength), so a conflict check costs O(hops) no
-/// matter how many lightpaths are already placed.
+/// Occupancy bookkeeping: one lazily-allocated per-segment bitset per
+/// (direction, fiber, wavelength), packed 64 segments to a word, so a
+/// conflict check tests a whole run of segments with a few masked word
+/// operations no matter how many lightpaths are already placed.
 class OccupancyMap {
  public:
   OccupancyMap(std::uint32_t n, const RwaOptions& opt)
       : n_(n),
+        words_((n + 63) / 64),
         wavelengths_(opt.wavelengths),
         fibers_(opt.fibers_per_direction),
-        bitmaps_(2 * opt.fibers_per_direction * opt.wavelengths) {}
+        bitsets_(2 * opt.fibers_per_direction * opt.wavelengths) {}
 
   [[nodiscard]] bool fits(topo::Direction dir, std::uint32_t fiber,
                           std::uint32_t lambda, const SegmentSpan& span) const {
-    const auto& bitmap = bitmaps_[index(dir, fiber, lambda)];
-    if (bitmap.empty()) return true;
-    for (std::uint32_t h = 0; h < span.hops; ++h) {
-      if (bitmap[(span.first + h) % n_]) return false;
-    }
-    return true;
+    const std::vector<std::uint64_t>& bits =
+        bitsets_[index(dir, fiber, lambda)];
+    if (bits.empty()) return true;
+    const std::uint32_t end = span.first + span.hops;
+    if (end <= n_) return !any_set(bits, span.first, end);
+    return !any_set(bits, span.first, n_) && !any_set(bits, 0, end - n_);
   }
 
   void place(topo::Direction dir, std::uint32_t fiber, std::uint32_t lambda,
              const SegmentSpan& span) {
-    auto& bitmap = bitmaps_[index(dir, fiber, lambda)];
-    if (bitmap.empty()) bitmap.assign(n_, 0);
-    for (std::uint32_t h = 0; h < span.hops; ++h) {
-      bitmap[(span.first + h) % n_] = 1;
+    std::vector<std::uint64_t>& bits = bitsets_[index(dir, fiber, lambda)];
+    if (bits.empty()) bits.assign(words_, 0);
+    const std::uint32_t end = span.first + span.hops;
+    if (end <= n_) {
+      set_range(bits, span.first, end);
+    } else {
+      set_range(bits, span.first, n_);
+      set_range(bits, 0, end - n_);
     }
   }
 
  private:
+  // Segment ranges below are non-wrapping and non-empty: segment_span
+  // checks its nodes, so a span starts below n_ and has 1 to n_ - 1 hops.
+  // A range covers words [lo / 64, (hi - 1) / 64]; the first word is
+  // masked from bit lo % 64 up, the last up to bit (hi - 1) % 64.
+
+  [[nodiscard]] static std::uint64_t last_mask(std::uint32_t hi) {
+    return ~std::uint64_t{0} >> (63 - (hi - 1) % 64);
+  }
+
+  /// True when any segment of [lo, hi) is set.
+  [[nodiscard]] static bool any_set(const std::vector<std::uint64_t>& bits,
+                                    std::uint32_t lo, std::uint32_t hi) {
+    const std::size_t last = (hi - 1) / 64;
+    std::uint64_t mask = ~std::uint64_t{0} << (lo % 64);
+    for (std::size_t w = lo / 64; w < last; ++w) {
+      if ((bits[w] & mask) != 0) return true;
+      mask = ~std::uint64_t{0};
+    }
+    return (bits[last] & mask & last_mask(hi)) != 0;
+  }
+
+  /// Sets every segment of [lo, hi).
+  static void set_range(std::vector<std::uint64_t>& bits, std::uint32_t lo,
+                        std::uint32_t hi) {
+    const std::size_t last = (hi - 1) / 64;
+    std::uint64_t mask = ~std::uint64_t{0} << (lo % 64);
+    for (std::size_t w = lo / 64; w < last; ++w) {
+      bits[w] |= mask;
+      mask = ~std::uint64_t{0};
+    }
+    bits[last] |= mask & last_mask(hi);
+  }
+
   [[nodiscard]] std::size_t index(topo::Direction dir, std::uint32_t fiber,
                                   std::uint32_t lambda) const {
     const std::size_t d = dir == topo::Direction::kClockwise ? 0 : 1;
@@ -55,22 +94,27 @@ class OccupancyMap {
   }
 
   std::uint32_t n_;
+  std::size_t words_;
   std::uint32_t wavelengths_;
   std::uint32_t fibers_;
-  std::vector<std::vector<std::uint8_t>> bitmaps_;
+  std::vector<std::vector<std::uint64_t>> bitsets_;
 };
 
 /// Longest lightpaths first: first-fit packs nested WRHT group paths and
 /// all-to-all exchanges tightly when the most constrained path goes first.
+/// Each transfer's hop count is computed once, before the sort.
 std::vector<std::size_t> order_by_hops(
     const topo::Ring& ring, std::span<const coll::Transfer> transfers) {
+  std::vector<std::uint32_t> hops(transfers.size());
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    hops[i] = ring.distance(transfers[i].src, transfers[i].dst);
+  }
   std::vector<std::size_t> order(transfers.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return ring.distance(transfers[a].src, transfers[a].dst) >
-           ring.distance(transfers[b].src, transfers[b].dst);
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return hops[a] > hops[b];
+                   });
   return order;
 }
 

@@ -188,7 +188,7 @@ TEST(RingNetwork, PatternCacheKeysOnTransferOrder) {
   EXPECT_EQ(cached.step_costs[1].duration, fresh.step_costs[0].duration);
 }
 
-TEST(RingNetwork, EventKernelDrivesSteps) {
+TEST(RingNetwork, CountsOneEventPerStepPlusStart) {
   const RingNetwork net(16, paper_config());
   const auto res = net.execute(coll::btree_allreduce(16, 8));
   // The event-driven count: one completion per step plus the start.

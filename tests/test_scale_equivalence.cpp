@@ -231,7 +231,7 @@ ChunkedRun run_chunked(unsigned threads) {
 
 /// 4 workers reproduce the single-worker reference on the chunked grid,
 /// and every one of the 64 points builds its own schedule.
-TEST(ScaleEquivalence, ChunkedGridCacheModesAndWorkerCountsAgree) {
+TEST(ScaleEquivalence, ChunkedGridWorkerCountsAgreeAndBuildEveryPoint) {
   const ChunkedRun reference = run_chunked(1);
   ASSERT_EQ(reference.reports.size(), 64u);
   EXPECT_EQ(reference.builds, 64u);
@@ -273,7 +273,7 @@ void register_flaky_algorithm() {
 /// has run every point. Every point builds for itself, so the point
 /// repeating the failing element count builds (and fails) again, and the
 /// point with another element count still builds once.
-TEST(ScaleEquivalence, FailedPioneerMakesSiblingsRebuildOrRethrow) {
+TEST(ScaleEquivalence, FailingBuildRethrowsAndEachPointBuildsItself) {
   exp::ensure_initialized();
   register_flaky_algorithm();
   exp::SweepSpec spec;
