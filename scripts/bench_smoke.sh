@@ -196,6 +196,34 @@ if [[ -z "$blame_total" || -z "$blame_attr" ]] || \
 fi
 echo "OK: smoke_blame.json (schema marker + identity: $blame_attr s)"
 
+# Every JSON artifact must be valid JSON, not just carry the right marker:
+# whole documents go through json.load, the event log through json.loads
+# line by line. A writer that stops escaping a string fails here.
+echo "--- JSON artifacts (python3 json)"
+if ! python3 - svc_trace.json smoke_blame.json svc_events.jsonl <<'PY'
+import json
+import sys
+
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as f:
+        if path.endswith(".jsonl"):
+            for number, line in enumerate(f, 1):
+                try:
+                    json.loads(line)
+                except ValueError as e:
+                    sys.exit(f"{path}: line {number}: {e}")
+        else:
+            try:
+                json.load(f)
+            except ValueError as e:
+                sys.exit(f"{path}: {e}")
+PY
+then
+  echo "FAIL: a JSON artifact is not valid JSON"
+  exit 1
+fi
+echo "OK: svc_trace.json, smoke_blame.json, svc_events.jsonl parse as JSON"
+
 # Stash the telemetry artifacts outside the temp dir (deleted on exit) so
 # CI can upload them alongside the smoke logs.
 mkdir -p "$BUILD_DIR/telemetry_artifacts"

@@ -3,28 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 
 namespace wrht::diag {
 
-namespace blame_detail {
-
-std::string num17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace blame_detail
-
 namespace {
 
-using blame_detail::num17;
+using json::escape;
+using json::num17;
 
 void write_categories(const BlameTotals& totals, const char* indent,
                       std::ostream& out) {
@@ -36,44 +26,6 @@ void write_categories(const BlameTotals& totals, const char* indent,
         << "\": " << num17(totals[category]);
   }
   out << "\n";
-}
-
-/// Extracts the value of `"key": "..."` on `line`, empty when absent.
-std::string extract_string(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return {};
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string::npos) return {};
-  return line.substr(begin, end - begin);
-}
-
-/// Extracts the numeric value of `"key": <number>` on `line`.
-bool extract_number(const std::string& line, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const char* begin = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) return false;
-  *out = v;
-  return true;
-}
-
-/// The `"name":` token starting a section, if this line opens one.
-std::string section_of(const std::string& line) {
-  if (line.find(": {") == std::string::npos &&
-      line.find(": [") == std::string::npos) {
-    return {};
-  }
-  const std::size_t open = line.find('"');
-  if (open == std::string::npos) return {};
-  const std::size_t close = line.find('"', open + 1);
-  if (close == std::string::npos) return {};
-  return line.substr(open + 1, close - open - 1);
 }
 
 void add_movers(const std::map<std::string, double>& base,
@@ -109,8 +61,9 @@ void write_blame_json(
   out << "{\n";
   out << "  \"schema\": \"" << kBlameSchema << "\",\n";
   out << "  \"kind\": \"run\",\n";
-  out << "  \"backend\": \"" << report.backend << "\",\n";
-  out << "  \"reconfig_policy\": \"" << report.reconfig_policy << "\",\n";
+  out << "  \"backend\": \"" << escape(report.backend) << "\",\n";
+  out << "  \"reconfig_policy\": \"" << escape(report.reconfig_policy)
+      << "\",\n";
   out << "  \"mrr_reconfig_delay\": "
       << num17(report.mrr_reconfig_delay.count()) << ",\n";
   out << "  \"oeo_delay\": " << num17(report.oeo_delay.count()) << ",\n";
@@ -124,14 +77,15 @@ void write_blame_json(
   out << "  },\n";
   out << "  \"what_if\": {\n";
   for (std::size_t i = 0; i < what_if.size(); ++i) {
-    out << "    \"" << what_if[i].first << "\": " << num17(what_if[i].second)
+    out << "    \"" << escape(what_if[i].first)
+        << "\": " << num17(what_if[i].second)
         << (i + 1 < what_if.size() ? ",\n" : "\n");
   }
   out << "  },\n";
   out << "  \"lanes\": [\n";
   for (std::size_t i = 0; i < report.lanes.size(); ++i) {
     const LaneBlame& lane = report.lanes[i];
-    out << "    {\"lane\": \"" << lane.lane
+    out << "    {\"lane\": \"" << escape(lane.lane)
         << "\", \"busy\": " << num17(lane.busy.count());
     for (const BlameCategory category : all_blame_categories()) {
       out << ", \"" << to_string(category)
@@ -143,7 +97,8 @@ void write_blame_json(
   out << "  \"critical_path\": [\n";
   for (std::size_t i = 0; i < report.critical_path.size(); ++i) {
     const CriticalRound& r = report.critical_path[i];
-    out << "    {\"step\": " << r.step << ", \"lane\": \"" << r.lane
+    out << "    {\"step\": " << r.step
+        << ", \"lane\": \"" << escape(r.lane)
         << "\", \"round\": " << r.round
         << ", \"start\": " << num17(r.start.count())
         << ", \"duration\": " << num17(r.duration.count())
@@ -175,89 +130,63 @@ ParsedBlame read_blame_json(std::istream& in) {
   std::string section;  // "", "categories", "what_if", "lanes", ...
   while (std::getline(in, line)) {
     ++line_number;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    if (!section.empty()) {
-      // A section closes on its bare `}` / `]` terminator line.
-      const std::size_t first = line.find_first_not_of(" \t");
-      if (line[first] == '}' || line[first] == ']') {
-        section.clear();
+    const std::size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    try {
+      const json::FieldReader fields(line);
+      if (!section.empty()) {
+        // A section closes on its bare `}` / `]` terminator line.
+        if (line[first] == '}' || line[first] == ']') {
+          section.clear();
+        } else if (section == "categories" || section == "what_if") {
+          auto& named =
+              section == "categories" ? parsed.categories : parsed.what_if;
+          for (const json::Field& f : fields.fields()) {
+            named[f.key] = fields.f64(f.key);
+          }
+        } else if (section == "lanes") {
+          parsed.lanes[fields.str("lane")] = fields.f64("busy");
+        } else if (section == "tenants") {
+          parsed.tenants["tenant" + std::to_string(fields.u32("tenant"))] =
+              fields.f64("jct");
+        }
+        // critical_path entries are not part of the diff surface; skipped.
         continue;
       }
-      double value = 0.0;
-      if (section == "categories" || section == "what_if") {
-        const std::size_t open = line.find('"');
-        const std::size_t close =
-            open == std::string::npos ? std::string::npos
-                                      : line.find('"', open + 1);
-        if (close == std::string::npos) {
-          throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                      ": expected \"name\": value inside \"" + section +
-                      "\"");
+      for (const json::Field& f : fields.fields()) {
+        if (f.kind == json::Field::Kind::kOpen) {
+          require(fields.fields().size() == 1,
+                  "section \"" + f.key + "\" must open on its own line");
+          section = f.key;
+        } else if (f.key == "schema") {
+          require(fields.str(f.key) == kBlameSchema,
+                  "unsupported schema '" + json::escape(f.value) + "'");
+          saw_schema = true;
+        } else if (f.key == "kind") {
+          parsed.kind = fields.str(f.key);
+        } else if (f.key == "backend" ||
+                   (f.key == "policy" && parsed.kind == "service")) {
+          parsed.source = fields.str(f.key);
+        } else if (f.key == "total_time") {
+          parsed.total_time = fields.f64(f.key);
+        } else if (f.key == "attributed_time") {
+          parsed.attributed_time = fields.f64(f.key);
         }
-        const std::string name = line.substr(open + 1, close - open - 1);
-        if (!extract_number(line, name, &value)) {
-          throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                      ": no numeric value for \"" + name + "\"");
-        }
-        (section == "categories" ? parsed.categories
-                                 : parsed.what_if)[name] = value;
-      } else if (section == "lanes") {
-        const std::string name = extract_string(line, "lane");
-        if (name.empty() || !extract_number(line, "busy", &value)) {
-          throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                      ": malformed lane entry");
-        }
-        parsed.lanes[name] = value;
-      } else if (section == "tenants") {
-        double tenant = 0.0;
-        if (!extract_number(line, "tenant", &tenant) ||
-            !extract_number(line, "jct", &value)) {
-          throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                      ": malformed tenant entry");
-        }
-        parsed.tenants["tenant" +
-                       std::to_string(static_cast<long long>(tenant))] =
-            value;
       }
-      // critical_path entries are not part of the diff surface; skipped.
-      continue;
-    }
-
-    const std::string opened = section_of(line);
-    if (!opened.empty()) {
-      section = opened;
-      continue;
-    }
-    if (line.find("\"schema\"") != std::string::npos) {
-      const std::string schema = extract_string(line, "schema");
-      if (schema != kBlameSchema) {
-        throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                    ": unsupported schema '" + schema + "'");
-      }
-      saw_schema = true;
-      continue;
-    }
-    if (const std::string kind = extract_string(line, "kind"); !kind.empty())
-      parsed.kind = kind;
-    if (const std::string b = extract_string(line, "backend"); !b.empty())
-      parsed.source = b;
-    if (const std::string p = extract_string(line, "policy");
-        !p.empty() && parsed.kind == "service") {
-      parsed.source = p;
-    }
-    double value = 0.0;
-    if (extract_number(line, "total_time", &value)) {
-      parsed.total_time = value;
-    }
-    if (extract_number(line, "attributed_time", &value)) {
-      parsed.attributed_time = value;
+    } catch (const Error& e) {
+      throw Error("wrht-blame-1: line " + std::to_string(line_number) + ": " +
+                  e.what());
     }
   }
+  if (!section.empty()) {
+    throw Error("wrht-blame-1: line " + std::to_string(line_number) +
+                ": section \"" + section + "\" is never closed (truncated?)");
+  }
   if (!saw_schema) {
-    throw Error("wrht-blame-1: no \"schema\": \"" + std::string(kBlameSchema) +
-                "\" marker found (read " + std::to_string(line_number) +
-                " lines)");
+    throw Error("wrht-blame-1: line " +
+                std::to_string(std::max<std::size_t>(line_number, 1)) +
+                ": input ends without a \"schema\": \"" +
+                std::string(kBlameSchema) + "\" marker");
   }
   return parsed;
 }

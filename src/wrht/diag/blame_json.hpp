@@ -2,12 +2,12 @@
 // reports, and the cross-run differ built on it.
 //
 // The writer emits one key (or one array element) per line, doubles with
-// %.17g (round-trip exact), fixed key order, no locale dependence — the
-// same recipe as the svc-events-1 event log — so a report is
-// byte-deterministic per (config, seed) and two reports can be diffed
-// structurally. The reader is deliberately line-based: it parses exactly
-// what the writer emits and fails with a diagnostic naming the line on
-// anything else.
+// json::num17 (round-trip exact), escaped strings, fixed key order, no
+// locale dependence — the same recipe as the svc-events-1 event log — so a
+// report is byte-deterministic per (config, seed) and two reports can be
+// diffed structurally. The reader is deliberately line-based: it reads each
+// line's fields with json::FieldReader and fails with a diagnostic naming
+// the line on anything it cannot parse.
 #pragma once
 
 #include <iosfwd>
@@ -86,11 +86,5 @@ struct BlameDiff {
 [[nodiscard]] BlameDiff diff_blame(const ParsedBlame& base,
                                    const ParsedBlame& other,
                                    double rel_threshold = 0.05);
-
-namespace blame_detail {
-/// %.17g: shortest round-trip-exact double, the byte-determinism
-/// workhorse shared with the service blame writer.
-[[nodiscard]] std::string num17(double v);
-}  // namespace blame_detail
 
 }  // namespace wrht::diag

@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 #include "wrht/diag/blame_json.hpp"
 #include "wrht/svc/policy.hpp"
 
@@ -15,7 +16,7 @@ namespace wrht::diag {
 
 namespace {
 
-using blame_detail::num17;
+using json::num17;
 
 /// One allocation-state change on the fabric timeline. Releases sort
 /// before grants at the same instant, matching the service's
@@ -273,7 +274,7 @@ void write_service_blame_json(const ServiceBlame& blame, std::ostream& out) {
   out << "{\n";
   out << "  \"schema\": \"" << kBlameSchema << "\",\n";
   out << "  \"kind\": \"service\",\n";
-  out << "  \"policy\": \"" << blame.policy << "\",\n";
+  out << "  \"policy\": \"" << json::escape(blame.policy) << "\",\n";
   out << "  \"fabric_wavelengths\": " << blame.fabric_wavelengths << ",\n";
   out << "  \"jobs\": " << blame.jobs << ",\n";
   out << "  \"total_time\": " << num17(blame.total_jct.count()) << ",\n";

@@ -62,14 +62,6 @@ struct ElectricalConfig {
     router_delay = v;
     return *this;
   }
-  ElectricalConfig& with_packet_size(Bytes v) {
-    packet_size = v;
-    return *this;
-  }
-  ElectricalConfig& with_bytes_per_element(std::uint32_t v) {
-    bytes_per_element = v;
-    return *this;
-  }
   ElectricalConfig& with_router_ports(std::uint32_t v) {
     router_ports = v;
     return *this;

@@ -65,10 +65,6 @@ struct BackendConfig {
   /// every backend byte-identical to pre-lease behaviour.
   ResourceLease lease{};
 
-  BackendConfig& with_reconfig_policy(ReconfigPolicy v) {
-    reconfig_policy = v;
-    return *this;
-  }
   BackendConfig& with_lease(ResourceLease v) {
     lease = v;
     return *this;

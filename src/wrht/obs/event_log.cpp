@@ -1,170 +1,40 @@
 #include "wrht/obs/event_log.hpp"
 
-#include <cstdio>
-#include <cstdlib>
+#include <array>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 
 namespace wrht::obs {
 
+using json::escape;
+using json::num17;
+
 namespace {
 
-/// Round-trip precision: %.17g is enough digits that strtod reconstructs
-/// the exact double, which the replay-identity gate depends on.
-std::string num17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case 'n':
-        out += '\n';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'u': {
-        require(i + 4 < s.size(), "EventLog: truncated \\u escape");
-        const unsigned long code = std::strtoul(s.substr(i + 1, 4).c_str(),
-                                                nullptr, 16);
-        out += static_cast<char>(code);
-        i += 4;
-        break;
-      }
-      default:
-        out += s[i];
-    }
-  }
-  return out;
-}
-
-/// Minimal field extractor for the flat one-level objects write_jsonl
-/// emits. Finds `"key":` and returns the raw value token (string values
-/// come back unquoted and unescaped).
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : line_(line) {}
-
-  std::string raw(const std::string& key) const {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = line_.find(needle);
-    if (at == std::string::npos) {
-      throw InvalidArgument("EventLog: missing field '" + key +
-                            "' in: " + line_);
-    }
-    std::size_t i = at + needle.size();
-    while (i < line_.size() && line_[i] == ' ') ++i;
-    if (i >= line_.size()) {
-      throw InvalidArgument("EventLog: empty value for '" + key + "'");
-    }
-    if (line_[i] == '"') {
-      // String value: scan to the closing unescaped quote.
-      std::size_t j = i + 1;
-      while (j < line_.size()) {
-        if (line_[j] == '\\') {
-          j += 2;
-          continue;
-        }
-        if (line_[j] == '"') break;
-        ++j;
-      }
-      if (j >= line_.size()) {
-        throw InvalidArgument("EventLog: unterminated string for '" + key +
-                              "' in: " + line_);
-      }
-      return unescape(line_.substr(i + 1, j - i - 1));
-    }
-    std::size_t j = i;
-    while (j < line_.size() && line_[j] != ',' && line_[j] != '}') ++j;
-    return line_.substr(i, j - i);
-  }
-
-  std::uint64_t u64(const std::string& key) const {
-    return std::strtoull(raw(key).c_str(), nullptr, 10);
-  }
-
-  double f64(const std::string& key) const {
-    return std::strtod(raw(key).c_str(), nullptr);
-  }
-
- private:
-  const std::string& line_;
-};
+/// Indexed by ServiceEvent::Kind.
+constexpr std::array<const char*, 7> kKindNames = {
+    "submit", "admit", "preempt", "grant", "start", "complete", "retune"};
 
 }  // namespace
 
 std::string to_string(ServiceEvent::Kind kind) {
-  switch (kind) {
-    case ServiceEvent::Kind::kSubmit:
-      return "submit";
-    case ServiceEvent::Kind::kAdmit:
-      return "admit";
-    case ServiceEvent::Kind::kPreempt:
-      return "preempt";
-    case ServiceEvent::Kind::kGrant:
-      return "grant";
-    case ServiceEvent::Kind::kStart:
-      return "start";
-    case ServiceEvent::Kind::kComplete:
-      return "complete";
-    case ServiceEvent::Kind::kRetune:
-      return "retune";
+  const auto index = static_cast<std::size_t>(kind);
+  if (index >= kKindNames.size()) {
+    throw InvalidArgument("unknown ServiceEvent::Kind");
   }
-  throw InvalidArgument("unknown ServiceEvent::Kind");
+  return kKindNames[index];
 }
 
 ServiceEvent::Kind event_kind_from_string(const std::string& name) {
-  if (name == "submit") return ServiceEvent::Kind::kSubmit;
-  if (name == "admit") return ServiceEvent::Kind::kAdmit;
-  if (name == "preempt") return ServiceEvent::Kind::kPreempt;
-  if (name == "grant") return ServiceEvent::Kind::kGrant;
-  if (name == "start") return ServiceEvent::Kind::kStart;
-  if (name == "complete") return ServiceEvent::Kind::kComplete;
-  if (name == "retune") return ServiceEvent::Kind::kRetune;
-  throw InvalidArgument("unknown service event kind '" + name + "'");
+  for (std::size_t i = 0; i < kKindNames.size(); ++i) {
+    if (name == kKindNames[i]) return static_cast<ServiceEvent::Kind>(i);
+  }
+  throw InvalidArgument("unknown service event kind '" + json::escape(name) +
+                        "'");
 }
 
 void EventLog::write_jsonl(std::ostream& out) const {
@@ -201,12 +71,11 @@ EventLog EventLog::read_jsonl(std::istream& in) {
           "EventLog: line 1: empty stream (missing header line)");
   std::uint64_t declared = 0;
   try {
-    const LineParser header(line);
-    require(header.raw("schema") == kSchema,
+    const json::FieldReader header(line);
+    require(header.str("schema") == kSchema,
             "expected schema '" + std::string(kSchema) + "', got: " + line);
-    log.context_.fabric_wavelengths =
-        static_cast<std::uint32_t>(header.u64("fabric_wavelengths"));
-    log.context_.policy = header.raw("policy");
+    log.context_.fabric_wavelengths = header.u32("fabric_wavelengths");
+    log.context_.policy = header.str("policy");
     log.context_.seed = header.u64("seed");
     declared = header.u64("events");
   } catch (const Error& e) {
@@ -219,14 +88,14 @@ EventLog EventLog::read_jsonl(std::istream& in) {
     if (line.empty()) continue;
     ServiceEvent e;
     try {
-      const LineParser p(line);
-      e.kind = event_kind_from_string(p.raw("kind"));
+      const json::FieldReader p(line);
+      e.kind = event_kind_from_string(p.str("kind"));
       e.time = Seconds{p.f64("t")};
       e.job = p.u64("job");
-      e.tenant = static_cast<std::uint32_t>(p.u64("tenant"));
-      e.w_lo = static_cast<std::uint32_t>(p.u64("w_lo"));
-      e.w_hi = static_cast<std::uint32_t>(p.u64("w_hi"));
-      e.cause = p.raw("cause");
+      e.tenant = p.u32("tenant");
+      e.w_lo = p.u32("w_lo");
+      e.w_hi = p.u32("w_hi");
+      e.cause = p.str("cause");
     } catch (const Error& err) {
       throw Error("EventLog: line " + std::to_string(line_number) + ": " +
                   std::string(err.what()));

@@ -2,26 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "wrht/common/csv.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 
 namespace wrht::obs {
 
-namespace {
-
-/// %.9g matches RunReport::write_json: enough digits for plotting and
-/// deterministic across runs of the same simulation.
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-}  // namespace
+using json::num9;
 
 Histogram::Histogram(HistogramSpec spec)
     : spec_(spec), inv_log_growth_(1.0 / std::log(spec.growth)) {
@@ -298,7 +288,8 @@ void MetricsRegistry::write_series_csv(const std::string& path) const {
     const std::string kind_name = obs::to_string(inst.kind);
     for (std::size_t i = 0; i < inst.series.size(); ++i) {
       const TimeSeriesPoint& p = inst.series[i];
-      csv.add_row({inst.name, kind_name, num(p.time.count()), num(p.value)});
+      csv.add_row(
+          {inst.name, kind_name, num9(p.time.count()), num9(p.value)});
     }
   }
 }
@@ -316,12 +307,13 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     const Instrument& inst = instruments_[id];
     out << (first ? "\n" : ",\n");
     first = false;
-    out << "    {\"name\": \"" << inst.name << "\", \"kind\": \""
-        << obs::to_string(inst.kind) << "\", \"value\": " << num(value(id))
+    out << "    {\"name\": \"" << json::escape(inst.name)
+        << "\", \"kind\": \"" << obs::to_string(inst.kind)
+        << "\", \"value\": " << num9(value(id))
         << ", \"samples\": " << inst.series.size()
         << ", \"dropped\": " << inst.series.dropped();
     if (inst.hist) {
-      out << ", \"sum\": " << num(inst.hist->sum()) << ", \"buckets\": [";
+      out << ", \"sum\": " << num9(inst.hist->sum()) << ", \"buckets\": [";
       // Sparse: only non-empty buckets, as [index, count] pairs.
       bool first_bucket = true;
       const auto& counts = inst.hist->bucket_counts();
@@ -336,8 +328,8 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     out << ", \"series\": [";
     for (std::size_t i = 0; i < inst.series.size(); ++i) {
       const TimeSeriesPoint& p = inst.series[i];
-      out << (i == 0 ? "" : ", ") << "[" << num(p.time.count()) << ", "
-          << num(p.value) << "]";
+      out << (i == 0 ? "" : ", ") << "[" << num9(p.time.count()) << ", "
+          << num9(p.value) << "]";
     }
     out << "]}";
   }

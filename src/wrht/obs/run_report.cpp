@@ -1,30 +1,21 @@
 #include "wrht/obs/run_report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "wrht/common/csv.hpp"
 #include "wrht/common/error.hpp"
-#include "wrht/obs/trace_json.hpp"
+#include "wrht/common/json.hpp"
 #include "wrht/prof/prof.hpp"
 
 namespace wrht {
 
 namespace {
 
-std::string format_seconds(Seconds s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", s.count());
-  return buf;
-}
+using json::escape;
 
-std::string format_fraction(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
+std::string format_seconds(Seconds s) { return json::num9(s.count()); }
 
 void write_breakdown_json(std::ostream& out, const TimeBreakdown& b) {
   out << "{\"transmission_s\":" << format_seconds(b.transmission)
@@ -77,14 +68,13 @@ void RunReport::write_step_csv(const std::string& path) const {
 }
 
 void RunReport::write_json(std::ostream& out) const {
-  const auto esc = &obs::ChromeTraceSink::escape;
   out << "{\n";
-  out << "  \"backend\": \"" << esc(backend) << "\",\n";
+  out << "  \"backend\": \"" << escape(backend) << "\",\n";
   out << "  \"total_time_s\": " << format_seconds(total_time) << ",\n";
   out << "  \"steps\": " << steps << ",\n";
   out << "  \"rounds\": " << rounds << ",\n";
   out << "  \"events_fired\": " << events_fired << ",\n";
-  out << "  \"utilization\": " << format_fraction(utilization) << ",\n";
+  out << "  \"utilization\": " << json::num9(utilization) << ",\n";
   out << "  \"resources_observed\": " << resources_observed << ",\n";
   out << "  \"breakdown\": ";
   write_breakdown_json(out, breakdown);
@@ -92,7 +82,7 @@ void RunReport::write_json(std::ostream& out) const {
   for (std::size_t i = 0; i < step_reports.size(); ++i) {
     const StepReport& s = step_reports[i];
     out << (i == 0 ? "" : ",") << "\n    {\"step\":" << i << ",\"label\":\""
-        << esc(s.label) << "\",\"start_s\":" << format_seconds(s.start)
+        << escape(s.label) << "\",\"start_s\":" << format_seconds(s.start)
         << ",\"duration_s\":" << format_seconds(s.duration)
         << ",\"rounds\":" << s.rounds
         << ",\"wavelengths_used\":" << s.wavelengths_used
@@ -104,7 +94,7 @@ void RunReport::write_json(std::ostream& out) const {
   out << "  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : counters) {
-    out << (first ? "" : ",") << "\n    \"" << esc(name) << "\": " << value;
+    out << (first ? "" : ",") << "\n    \"" << escape(name) << "\": " << value;
     first = false;
   }
   out << (counters.empty() ? "" : "\n  ") << "}\n";

@@ -5,10 +5,13 @@
 #include <ostream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 
 namespace wrht::obs {
 
 namespace {
+
+using json::escape;
 
 /// Fixed-precision microseconds: deterministic across runs and platforms.
 std::string format_us(Seconds t) {
@@ -43,29 +46,6 @@ void ChromeTraceSink::counter(const CounterSample& s) {
 void ChromeTraceSink::set_track_name(std::uint32_t track,
                                      const std::string& name) {
   track_names_[track] = name;
-}
-
-std::string ChromeTraceSink::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void ChromeTraceSink::write(std::ostream& out) const {

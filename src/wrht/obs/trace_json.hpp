@@ -73,9 +73,6 @@ class ChromeTraceSink final : public TraceSink {
   /// write() to `path`; throws wrht::Error if the file cannot be opened.
   void write_file(const std::string& path) const;
 
-  /// Escapes a string for embedding inside a JSON string literal.
-  [[nodiscard]] static std::string escape(const std::string& s);
-
  private:
   std::string process_name_;
   std::vector<TraceSpan> spans_;

@@ -45,8 +45,7 @@ struct OpticalConfig {
   std::uint32_t fibers_per_direction = 1;  ///< wavelength-planning default
   BitsPerSecond wavelength_rate{40e9};     ///< nominal line rate per lambda
   Seconds mrr_reconfig_delay{25e-6};       ///< per communication step
-  Seconds oeo_delay{497e-15};              ///< O/E/O conversion per packet
-  Bytes packet_size{72};
+  Seconds oeo_delay{497e-15};              ///< O/E/O conversion per round
   std::uint32_t bytes_per_element = 4;     ///< float32 gradients
 
   /// The Eq. (6) rate convention (see net/rate_convention.hpp); the alias
@@ -108,10 +107,6 @@ struct OpticalConfig {
     wavelengths = v;
     return *this;
   }
-  OpticalConfig& with_fibers_per_direction(std::uint32_t v) {
-    fibers_per_direction = v;
-    return *this;
-  }
   OpticalConfig& with_wavelength_rate(BitsPerSecond v) {
     wavelength_rate = v;
     return *this;
@@ -124,28 +119,12 @@ struct OpticalConfig {
     oeo_delay = v;
     return *this;
   }
-  OpticalConfig& with_packet_size(Bytes v) {
-    packet_size = v;
-    return *this;
-  }
-  OpticalConfig& with_bytes_per_element(std::uint32_t v) {
-    bytes_per_element = v;
-    return *this;
-  }
   OpticalConfig& with_convention(RateConvention v) {
     convention = v;
     return *this;
   }
   OpticalConfig& with_rwa_policy(RwaPolicy v) {
     rwa_policy = v;
-    return *this;
-  }
-  OpticalConfig& with_rwa_threads(unsigned v) {
-    rwa_threads = v;
-    return *this;
-  }
-  OpticalConfig& with_multi_round_steps(bool v) {
-    allow_multi_round_steps = v;
     return *this;
   }
   OpticalConfig& with_lease(net::ResourceLease v) {
@@ -162,16 +141,8 @@ struct OpticalConfig {
     options.wavelength_lo = lease.full() ? 0 : lease.w_lo;
     return options;
   }
-  OpticalConfig& with_node_hardware(NodeHardware v) {
-    node_hardware = v;
-    return *this;
-  }
   OpticalConfig& with_validate_node_capacity(bool v) {
     validate_node_capacity = v;
-    return *this;
-  }
-  OpticalConfig& with_reconfig_policy(net::ReconfigPolicy v) {
-    reconfig_policy = v;
     return *this;
   }
 };

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 
 namespace wrht::prof {
 
@@ -14,22 +15,7 @@ namespace {
 
 constexpr const char* kHeader = "metric,value,max_rel_drift,direction";
 
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-double parse_double(const std::string& field, const std::string& context) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(field, &consumed);
-    require(consumed == field.size(), context);
-    return value;
-  } catch (const std::logic_error&) {
-    throw Error(context + ": '" + field + "' is not a number");
-  }
-}
+using json::num9;
 
 }  // namespace
 
@@ -58,31 +44,24 @@ Baseline Baseline::load(const std::string& path) {
     std::stringstream row(line);
     std::string field;
     while (std::getline(row, field, ',')) fields.push_back(field);
-    require(fields.size() == 4, "Baseline: '" + path + "' line " +
-                                    std::to_string(line_no) +
-                                    ": expected 4 fields, got " +
-                                    std::to_string(fields.size()));
-    BaselineEntry entry;
-    entry.metric = fields[0];
-    entry.value = parse_double(fields[1], "Baseline: '" + path + "' line " +
-                                              std::to_string(line_no) +
-                                              " value");
-    entry.max_rel_drift =
-        parse_double(fields[2], "Baseline: '" + path + "' line " +
-                                    std::to_string(line_no) + " drift");
-    require(entry.max_rel_drift >= 0.0,
-            "Baseline: '" + path + "' line " + std::to_string(line_no) +
-                ": max_rel_drift must be >= 0");
-    if (fields[3] == "lower") {
-      entry.direction = Direction::kLowerIsBetter;
-    } else if (fields[3] == "higher") {
-      entry.direction = Direction::kHigherIsBetter;
-    } else {
+    try {
+      require(fields.size() == 4,
+              "expected 4 fields, got " + std::to_string(fields.size()));
+      BaselineEntry entry;
+      entry.metric = fields[0];
+      entry.value = json::parse_f64(fields[1]);
+      entry.max_rel_drift = json::parse_f64(fields[2]);
+      require(entry.max_rel_drift >= 0.0, "max_rel_drift must be >= 0");
+      require(fields[3] == "lower" || fields[3] == "higher",
+              "direction must be 'lower' or 'higher', got '" + fields[3] +
+                  "'");
+      entry.direction = fields[3] == "lower" ? Direction::kLowerIsBetter
+                                             : Direction::kHigherIsBetter;
+      out.entries.push_back(std::move(entry));
+    } catch (const InvalidArgument& e) {
       throw Error("Baseline: '" + path + "' line " + std::to_string(line_no) +
-                  ": direction must be 'lower' or 'higher', got '" +
-                  fields[3] + "'");
+                  ": " + e.what());
     }
-    out.entries.push_back(std::move(entry));
   }
   return out;
 }
@@ -113,8 +92,8 @@ void Baseline::save(const std::string& path) const {
          "(see EXPERIMENTS.md)\n";
   out << kHeader << "\n";
   for (const BaselineEntry& entry : entries) {
-    out << entry.metric << "," << format_double(entry.value) << ","
-        << format_double(entry.max_rel_drift) << ","
+    out << entry.metric << "," << num9(entry.value) << ","
+        << num9(entry.max_rel_drift) << ","
         << (entry.direction == Direction::kLowerIsBetter ? "lower" : "higher")
         << "\n";
   }
@@ -133,14 +112,14 @@ void CompareReport::print(std::ostream& out) const {
     if (r.missing) {
       std::snprintf(buf, sizeof(buf),
                     "  REGRESSED %-28s missing from report (baseline %s)\n",
-                    r.metric.c_str(), format_double(r.baseline).c_str());
+                    r.metric.c_str(), num9(r.baseline).c_str());
       out << buf;
       continue;
     }
     std::snprintf(
         buf, sizeof(buf), "  %-9s %-28s %12s vs %12s  drift %+7.2f%% (max %s%.0f%%)\n",
         r.regressed ? "REGRESSED" : "ok", r.metric.c_str(),
-        format_double(r.value).c_str(), format_double(r.baseline).c_str(),
+        num9(r.value).c_str(), num9(r.baseline).c_str(),
         r.rel_drift * 100.0,
         r.direction == Direction::kLowerIsBetter ? "+" : "-",
         r.threshold * 100.0);

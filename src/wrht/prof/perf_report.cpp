@@ -1,37 +1,16 @@
 #include "wrht/prof/perf_report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 #include "wrht/common/stats.hpp"
 
 namespace wrht::prof {
 
-namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// Metric and phase names are library-chosen identifiers (no quotes or
-/// control characters), but escape the JSON specials anyway so a stray
-/// name cannot corrupt the document.
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += (static_cast<unsigned char>(c) < 0x20) ? '?' : c;
-  }
-  return out;
-}
-
-}  // namespace
+using json::escape;
 
 void PerfReport::add_metric(const std::string& metric_name, double value,
                             const std::string& unit) {
@@ -73,8 +52,8 @@ void PerfReport::write_json(std::ostream& out) const {
   out << "  \"name\": \"" << escape(name) << "\",\n";
   out << "  \"repetitions\": " << repetitions << ",\n";
   out << "  \"threads\": " << threads << ",\n";
-  out << "  \"wall_time_s\": " << format_double(wall_time_s) << ",\n";
-  out << "  \"thread_efficiency\": " << format_double(thread_efficiency)
+  out << "  \"wall_time_s\": " << json::num9(wall_time_s) << ",\n";
+  out << "  \"thread_efficiency\": " << json::num9(thread_efficiency)
       << ",\n";
   out << "  \"peak_rss_bytes\": " << peak_rss_bytes << ",\n";
 
@@ -88,7 +67,7 @@ void PerfReport::write_json(std::ostream& out) const {
   out << "  \"metrics\": {";
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     out << (i == 0 ? "" : ",") << "\n    \"" << escape(sorted[i]->name)
-        << "\": {\"value\": " << format_double(sorted[i]->value)
+        << "\": {\"value\": " << json::num9(sorted[i]->value)
         << ", \"unit\": \"" << escape(sorted[i]->unit) << "\"}";
   }
   out << (sorted.empty() ? "" : "\n  ") << "},\n";
@@ -98,7 +77,7 @@ void PerfReport::write_json(std::ostream& out) const {
   for (const auto& [phase, totals] : phases) {
     out << (first ? "" : ",") << "\n    \"" << escape(phase)
         << "\": {\"calls\": " << totals.calls
-        << ", \"seconds\": " << format_double(totals.seconds) << "}";
+        << ", \"seconds\": " << json::num9(totals.seconds) << "}";
     first = false;
   }
   out << (phases.empty() ? "" : "\n  ") << "}\n";

@@ -1,7 +1,8 @@
-// Discrete-event simulation kernel of the optical ring engine and the
-// service scheduler. Single-threaded, deterministic. (The packet-level
-// electrical model merges per-link event streams instead; see
-// electrical/packet_sim.cpp.)
+// Discrete-event simulation kernel of the shared-fabric service
+// (svc::FabricService). Single-threaded, deterministic. The engines do not
+// use it: the optical ring walks its steps in a plain loop, and the
+// packet-level electrical model merges per-link event streams (see
+// electrical/packet_sim.cpp).
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,7 @@
 
 #include "wrht/collectives/registry.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 #include "wrht/common/rng.hpp"
 #include "wrht/core/wrht_schedule.hpp"
 #include "wrht/electrical/electrical_backend.hpp"
@@ -265,31 +266,29 @@ std::string FuzzCase::serialize() const {
 
 FuzzCase FuzzCase::parse(const std::string& line) {
   std::istringstream in(line);
-  FuzzCase c;
-  std::string policy;
-  in >> c.algorithm >> c.num_nodes >> c.elements >> c.group_size >>
-      c.wavelengths >> policy;
-  require(!in.fail(),
+  std::vector<std::string> tokens;
+  for (std::string token; in >> token;) tokens.push_back(std::move(token));
+  require(tokens.size() == 6 || tokens.size() == 8,
           "FuzzCase::parse: malformed line '" + line +
               "' (want: algorithm N elements m w policy [w_lo w_hi])");
-  // Optional lease slice: exactly two more integer tokens.
-  std::string lo_token;
-  if (in >> lo_token) {
-    std::istringstream lease(lo_token);
-    lease >> c.w_lo;
-    const bool lo_ok = !lease.fail() && lease.eof();
-    in >> c.w_hi;
-    require(lo_ok && !in.fail(),
-            "FuzzCase::parse: malformed lease tokens in '" + line +
-                "' (want: w_lo w_hi)");
-    require(c.w_lo < c.w_hi, "FuzzCase::parse: empty lease slice in '" +
-                                 line + "'");
-    std::string rest;
-    in >> rest;
-    require(rest.empty(),
-            "FuzzCase::parse: trailing tokens in '" + line + "'");
+  FuzzCase c;
+  c.algorithm = tokens[0];
+  try {
+    c.num_nodes = json::parse_u32(tokens[1]);
+    c.elements = json::parse_u64(tokens[2]);
+    c.group_size = json::parse_u32(tokens[3]);
+    c.wavelengths = json::parse_u32(tokens[4]);
+    if (tokens.size() == 8) {
+      c.w_lo = json::parse_u32(tokens[6]);
+      c.w_hi = json::parse_u32(tokens[7]);
+    }
+  } catch (const InvalidArgument& e) {
+    throw InvalidArgument("FuzzCase::parse: " + std::string(e.what()) +
+                          " in '" + line + "'");
   }
-  c.reconfig_policy = parse_policy(policy);
+  c.reconfig_policy = parse_policy(tokens[5]);
+  require(tokens.size() == 6 || c.w_lo < c.w_hi,
+          "FuzzCase::parse: empty lease slice in '" + line + "'");
   require(c.num_nodes >= 2 && c.elements >= 1 && c.group_size >= 2 &&
               c.wavelengths >= 1,
           "FuzzCase::parse: out-of-domain values in '" + line + "'");

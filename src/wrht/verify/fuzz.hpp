@@ -90,8 +90,9 @@ struct FuzzCase {
   /// cases, with " w_lo w_hi" appended for leased ones. Round-trips
   /// through parse(); used by tests/corpus/fuzz_regressions.txt.
   [[nodiscard]] std::string serialize() const;
-  /// Parses serialize() output (leading/trailing spaces tolerated). Throws
-  /// InvalidArgument on malformed lines.
+  /// Parses serialize() output (leading/trailing spaces tolerated). Every
+  /// integer token is read with json::parse_u32/u64 (no sign, no overflow,
+  /// no trailing bytes). Throws InvalidArgument naming the line otherwise.
   static FuzzCase parse(const std::string& line);
 };
 

@@ -214,6 +214,41 @@ TEST(Blame, JsonRoundTripsThroughTheReader) {
   EXPECT_EQ(parsed.lanes.size(), report.lanes.size());
 }
 
+/// Names carrying `"`, `\` and `\r` are written escaped (the document stays
+/// valid JSON, one line per key) and read back exactly.
+TEST(Blame, SpecialCharactersInNamesAreEscapedAndRoundTrip) {
+  const std::uint32_t n = 16;
+  BlameReport report = build_blame(observe_ring(
+      core::wrht_allreduce(n, 4096, core::WrhtOptions{5, 8}), ring_cfg(), n));
+  ASSERT_FALSE(report.lanes.empty());
+  ASSERT_FALSE(report.critical_path.empty());
+  const std::string backend = "opt\"ical\\ring\r";
+  const std::string lane = "lane \"0\" \\ \r";
+  const std::string label = "what\"if\\\r";
+  report.backend = backend;
+  report.reconfig_policy = "every\"round\\\r";
+  report.lanes[0].lane = lane;
+  report.critical_path[0].lane = lane;
+  std::ostringstream stream;
+  write_blame_json(report, {{label, 2.5e-3}}, stream);
+  const std::string json = stream.str();
+  EXPECT_NE(json.find("  \"backend\": \"opt\\\"ical\\\\ring\\r\",\n"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("  \"reconfig_policy\": \"every\\\"round\\\\\\r\",\n"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\r'), std::string::npos);  // no raw control byte
+
+  std::istringstream in(json);
+  const ParsedBlame parsed = read_blame_json(in);
+  EXPECT_EQ(parsed.source, backend);
+  EXPECT_EQ(parsed.lanes.count(lane), 1u);
+  EXPECT_EQ(parsed.lanes.at(lane), report.lanes[0].busy.count());
+  EXPECT_EQ(parsed.what_if.at(label), 2.5e-3);
+  EXPECT_EQ(parsed.lanes.size(), report.lanes.size());
+}
+
 TEST(Blame, ReaderRejectsMalformedInput) {
   {
     std::istringstream in("{\n  \"kind\": \"run\"\n}\n");

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "wrht/common/error.hpp"
 
@@ -171,6 +172,36 @@ TEST(EventLog, ExtraEventsBeyondHeaderCountAreRejected) {
       "\"w_lo\": 0, \"w_hi\": 0, \"cause\": \"stray\"}\n";
   std::istringstream in(jsonl);
   EXPECT_THROW((void)EventLog::read_jsonl(in), Error);
+}
+
+/// Every numeric field is parsed strictly; a value strtoull/strtod would
+/// have read as 0, wrapped, or truncated is rejected naming its line.
+TEST(EventLog, RejectsNonNumericNegativeAndOverflowingFields) {
+  const std::string header =
+      "{\"schema\": \"svc-events-1\", \"fabric_wavelengths\": 4, "
+      "\"policy\": \"fifo\", \"seed\": 1, \"events\": 2}\n"
+      "{\"kind\": \"submit\", \"t\": 0, \"job\": 1, \"tenant\": 0, "
+      "\"w_lo\": 0, \"w_hi\": 0, \"cause\": \"arrival\"}\n";
+  for (const std::string bad :
+       {"\"t\": abc, \"job\": 2, \"tenant\": 0",
+        "\"t\": 1, \"job\": -5, \"tenant\": 0",
+        "\"t\": 1, \"job\": 2, \"tenant\": 4294967297",
+        "\"t\": 1e999, \"job\": 2, \"tenant\": 0",
+        "\"t\": 1, \"job\": 18446744073709551616, \"tenant\": 0"}) {
+    std::istringstream in(header + "{\"kind\": \"grant\", " + bad +
+                          ", \"w_lo\": 0, \"w_hi\": 4, \"cause\": \"x\"}\n");
+    try {
+      (void)EventLog::read_jsonl(in);
+      FAIL() << "accepted " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::istringstream wide_header(
+      "{\"schema\": \"svc-events-1\", \"fabric_wavelengths\": 4294967296, "
+      "\"policy\": \"fifo\", \"seed\": 1, \"events\": 0}\n");
+  EXPECT_THROW((void)EventLog::read_jsonl(wide_header), Error);
 }
 
 TEST(EventLog, ClearDropsEventsButKeepsContext) {

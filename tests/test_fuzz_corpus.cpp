@@ -99,6 +99,26 @@ TEST(FuzzCorpus, ParseRejectsMalformedLines) {
                InvalidArgument);
 }
 
+/// Integer tokens are read strictly: a stream-extracted "-5" used to wrap
+/// to 4294967291 nodes. parse() alone is called; the case is never run.
+TEST(FuzzCorpus, ParseRejectsNegativeOverflowingAndJunkIntegers) {
+  for (const char* line :
+       {"wrht -5 100 3 4 every_round", "wrht 5 -100 3 4 every_round",
+        "wrht 5 100 3 4 every_round -1 4",
+        "wrht 4294967296 100 3 4 every_round",
+        "wrht 5 18446744073709551616 3 4 every_round",
+        "wrht 5 100 3x 4 every_round", "wrht 5 100 3 4.0 every_round",
+        "wrht +5 100 3 4 every_round"}) {
+    try {
+      (void)verify::FuzzCase::parse(line);
+      FAIL() << "accepted '" << line << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 /// A leased draw and a sentinel (no-lease) case must both round-trip.
 TEST(FuzzCorpus, LeasedCaseSerializeRoundTrips) {
   verify::FuzzCase c;

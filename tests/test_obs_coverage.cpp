@@ -12,6 +12,7 @@
 #include "wrht/electrical/packet_sim.hpp"
 #include "wrht/obs/counters.hpp"
 #include "wrht/obs/run_report.hpp"
+#include "wrht/common/json.hpp"
 #include "wrht/obs/trace_json.hpp"
 #include "wrht/optical/ring_network.hpp"
 
@@ -21,24 +22,24 @@ namespace {
 // ------------------------------------------------ JSON string escaping
 
 TEST(ObsCoverage, EscapeHandlesQuotesAndBackslashes) {
-  EXPECT_EQ(obs::ChromeTraceSink::escape("plain"), "plain");
-  EXPECT_EQ(obs::ChromeTraceSink::escape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(obs::ChromeTraceSink::escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::ChromeTraceSink::escape("\\\""), "\\\\\\\"");
+  EXPECT_EQ(json::escape("plain"), "plain");
+  EXPECT_EQ(json::escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json::escape("\\\""), "\\\\\\\"");
 }
 
 TEST(ObsCoverage, EscapeHandlesWhitespaceControls) {
-  EXPECT_EQ(obs::ChromeTraceSink::escape("line1\nline2"), "line1\\nline2");
-  EXPECT_EQ(obs::ChromeTraceSink::escape("col1\tcol2"), "col1\\tcol2");
-  EXPECT_EQ(obs::ChromeTraceSink::escape("cr\rlf\n"), "cr\\rlf\\n");
+  EXPECT_EQ(json::escape("line1\nline2"), "line1\\nline2");
+  EXPECT_EQ(json::escape("col1\tcol2"), "col1\\tcol2");
+  EXPECT_EQ(json::escape("cr\rlf\n"), "cr\\rlf\\n");
 }
 
 TEST(ObsCoverage, EscapeEncodesOtherControlBytes) {
-  EXPECT_EQ(obs::ChromeTraceSink::escape(std::string("\x01", 1)), "\\u0001");
-  EXPECT_EQ(obs::ChromeTraceSink::escape(std::string("\x1f", 1)), "\\u001f");
+  EXPECT_EQ(json::escape(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(json::escape(std::string("\x1f", 1)), "\\u001f");
   // 0x20 and above pass through untouched (including UTF-8 multibyte).
-  EXPECT_EQ(obs::ChromeTraceSink::escape(" ~"), " ~");
-  EXPECT_EQ(obs::ChromeTraceSink::escape("\xc3\xa9"), "\xc3\xa9");
+  EXPECT_EQ(json::escape(" ~"), " ~");
+  EXPECT_EQ(json::escape("\xc3\xa9"), "\xc3\xa9");
 }
 
 TEST(ObsCoverage, EscapedSpanSurvivesSerialization) {

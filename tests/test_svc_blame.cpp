@@ -153,6 +153,26 @@ TEST(SvcBlame, JsonIsByteDeterministicAndServiceKind) {
               1e-9 * parsed.total_time);
 }
 
+TEST(SvcBlame, PolicyWithSpecialCharactersIsEscapedAndRoundTrips) {
+  const svc::ServiceConfig config = service_config(svc::PolicyKind::kFifo);
+  svc::FabricService service(config);
+  ServiceBlame blame = build_service_blame(
+      service.run(bursty_jobs(9)), config.planner, config.fabric_wavelengths);
+  blame.policy = "fi\"fo\\\r";
+  std::ostringstream stream;
+  write_service_blame_json(blame, stream);
+  const std::string json = stream.str();
+  EXPECT_NE(json.find("  \"policy\": \"fi\\\"fo\\\\\\r\",\n"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\r'), std::string::npos);  // no raw control byte
+  std::istringstream in(json);
+  const ParsedBlame parsed = read_blame_json(in);
+  EXPECT_EQ(parsed.kind, "service");
+  EXPECT_EQ(parsed.source, blame.policy);
+  EXPECT_EQ(parsed.tenants.size(), blame.tenants.size());
+}
+
 TEST(SvcBlame, DifferLocalizesPolicyChangesToTenants) {
   const std::vector<svc::Job> jobs = bursty_jobs(13);
   const auto to_parsed = [&](svc::PolicyKind policy) {

@@ -1,3 +1,4 @@
+#include "wrht/common/json.hpp"
 #include "wrht/obs/trace_json.hpp"
 
 #include <gtest/gtest.h>
@@ -115,11 +116,11 @@ TEST(Probe, CountersOnlyProbeEmitsNoSpans) {
 // ------------------------------------------------------- JSON string escape
 
 TEST(ChromeTrace, EscapesJsonMetacharacters) {
-  EXPECT_EQ(ChromeTraceSink::escape("plain"), "plain");
-  EXPECT_EQ(ChromeTraceSink::escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(ChromeTraceSink::escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(ChromeTraceSink::escape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-  EXPECT_EQ(ChromeTraceSink::escape(std::string("a\x01") + "b"), "a\\u0001b");
+  EXPECT_EQ(json::escape("plain"), "plain");
+  EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json::escape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+  EXPECT_EQ(json::escape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 // ------------------------------------------------- golden Chrome trace JSON
